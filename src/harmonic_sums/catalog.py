@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .closed_form import ClosedForm, LinearArg
 from .identities import offset_sum_f, offset_sum_g, sum_f, sum_g
 from .polynomial import RationalFunction, faulhaber_poly
+from .render import _power_sum_label
 
 __all__ = ["CatalogEntry", "catalog_entries"]
 
@@ -31,7 +32,7 @@ class CatalogEntry:
     def lhs_label(self, fmt: str) -> str:
         latex = fmt == "latex"
         if self.kind == "power_sum":
-            return f"H_n^{{(-{self.p})}}" if latex else f"H_n^(-{self.p})"
+            return _power_sum_label(self.p, latex)
         weight = _power_text(self.p, latex)
         arg = _summand_arg(self.kind, self.offset)
         if latex:

@@ -34,6 +34,8 @@ from .identities import (
 from .oracle import GridSpec, VerificationReport, verify_grid
 from .polynomial import RationalFunction, faulhaber_poly
 from .render import (
+    FORMATS,
+    _fraction_text,
     closed_form_to_json,
     fraction_to_json,
     polynomial_text,
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format",
-            choices=("text", "latex", "json"),
+            choices=FORMATS,
             default="text",
             help="output format (default: text)",
         )
@@ -109,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--offset-a", type=int, default=None)
     p_verify.add_argument("--offset-b", type=int, default=None)
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -236,14 +237,7 @@ def _verify_spec(args: argparse.Namespace) -> list[GridSpec]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    build = build_closed_form
-    if args.corrupt:  # negative-control hook used by the test suite
-
-        def build(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
-            cf = build_closed_form(family, p, m, s)
-            return ClosedForm(cf.constant + 1, cf.terms)
-
-    reports = [(spec, verify_grid(spec, build)) for spec in _verify_spec(args)]
+    reports = [(spec, verify_grid(spec, build_closed_form)) for spec in _verify_spec(args)]
     all_ok = all(report.all_passed for _, report in reports)
     if args.format == "json":
         payload = {
@@ -344,18 +338,8 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         payload = {"values": [{"k": k, **fraction_to_json(v)} for k, v in values]}
         _emit(json.dumps(payload, indent=2), args.output)
     elif args.format == "latex":
-        _emit(
-            "\n".join(
-                f"B^+_{{{k}}} = "
-                + (
-                    str(v.numerator)
-                    if v.denominator == 1
-                    else f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
-                )
-                for k, v in values
-            ),
-            args.output,
-        )
+        lines = (f"B^+_{{{k}}} = {_fraction_text(v, latex=True)}" for k, v in values)
+        _emit("\n".join(lines), args.output)
     else:
         _emit("\n".join(f"B+({k}) = {v}" for k, v in values), args.output)
     return 0

@@ -3,9 +3,9 @@
 Text and LaTeX follow the usual presentation for these identities:
 harmonic symbols carry the argument as a subscript and the order as a
 parenthesized superscript, coefficients that equal (a multiple of) a
-power-sum polynomial are displayed as H_n^(-p), and polynomial factors of
-degree <= 2 with integer coefficients are split off for readability. All
-of that is cosmetic; the JSON form is the contractual serialization and
+power-sum polynomial are displayed as H_n^(-p), and powers of n and linear
+factors with small rational roots are split off for readability. All of
+that is cosmetic; the JSON form is the contractual serialization and
 round-trips bit-exactly.
 """
 
@@ -30,6 +30,11 @@ __all__ = [
 
 FORMATS = ("text", "latex", "json")
 
+# Display factoring splits off linear factors q*n - p with |p|, q at most
+# this bound. It keeps the root search bounded however large the
+# coefficients are; a root beyond it only leaves its factor unsplit.
+ROOT_BOUND = 1000
+
 
 # ---------------------------------------------------------------------------
 # display factoring
@@ -40,8 +45,8 @@ def factor_for_display(
 ) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     """Split a polynomial into content * product of integer-primitive factors.
 
-    Pulls out powers of n and every rational linear root; whatever remains
-    (degree >= 2, no rational roots) stays as one factor. The product of
+    Pulls out powers of n and every linear factor q*n - p with |p|, q at
+    most ROOT_BOUND; whatever remains stays as one factor. The product of
     the returned parts is exactly the input.
     """
     if poly.is_zero:
@@ -84,26 +89,33 @@ def factor_for_display(
 
 
 def _rational_root(poly: Polynomial) -> Fraction | None:
-    const = poly.coeffs[0]
-    lead = poly.leading
-    for p in _divisors(abs(const.numerator)):
-        for q in _divisors(abs(lead.numerator)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if poly.evaluate(cand) == 0:
-                    return cand
+    """A root p/q of the integer polynomial with |p|, q <= ROOT_BOUND, or None.
+
+    By Gauss's lemma a root p/q in lowest terms makes q*n - p an integer
+    factor, so q - p divides P(1) and q + p divides P(-1). Those integer
+    tests discard most candidates before the exact evaluation.
+    """
+    at_one, at_minus_one = int(poly.evaluate(1)), int(poly.evaluate(-1))
+    for p in _divisors(poly.coeffs[0].numerator):
+        for q in _divisors(poly.leading.numerator):
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                if (
+                    _divides(q - num, at_one)
+                    and _divides(q + num, at_minus_one)
+                    and not poly.evaluate(Fraction(num, q))
+                ):
+                    return Fraction(num, q)
     return None
 
 
+def _divides(d: int, n: int) -> bool:
+    return n % d == 0 if d else n == 0
+
+
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    return [d for d in range(1, min(abs(n), ROOT_BOUND) + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +194,11 @@ def rational_function_text(rf: RationalFunction, latex: bool = False) -> str:
 
 
 def _symbol_text(sym: HarmonicSymbol, latex: bool) -> str:
+    if not latex:
+        return str(sym)
     arg = str(sym.arg)
     sub = arg if len(arg) == 1 else "{" + arg + "}"
-    if sym.order == 1:
-        sup = ""
-    else:
-        sup = f"^{{({sym.order})}}" if latex else f"^({sym.order})"
+    sup = "" if sym.order == 1 else f"^{{({sym.order})}}"
     return f"H_{sub}{sup}"
 
 
@@ -224,34 +235,22 @@ def _coefficient_piece(coeff: RationalFunction, latex: bool) -> tuple[int, str]:
                 return sign, label
             sep = "" if latex else " "
             return sign, f"{_fraction_text(abs(scalar), latex)}{sep}{label}"
-        if poly.degree == 0:
-            c = poly.coeffs[0]
-            sign = -1 if c < 0 else 1
-            if abs(c) == 1:
-                return sign, ""
-            return sign, _fraction_text(abs(c), latex)
-        content, _ = factor_for_display(poly)
-        sign = -1 if content < 0 else 1
-        return sign, polynomial_text(poly * sign, latex)
-    # general rational function: group it, keep the sign outside
-    content, _ = factor_for_display(coeff.num)
-    sign = -1 if content < 0 else 1
-    scaled = RationalFunction(coeff.num * sign, coeff.den)
-    body = rational_function_text(scaled, latex)
-    if not latex:
-        body = f"({body})"
-    return sign, body
+        if poly.degree == 0 and abs(poly.leading) == 1:
+            return (-1 if poly.leading < 0 else 1), ""
+    sign, body = _signed_piece(coeff, latex)
+    # text groups a general rational function; LaTeX's \frac already does
+    if coeff.is_polynomial or latex:
+        return sign, body
+    return sign, f"({body})"
 
 
-def _constant_piece(rf: RationalFunction, latex: bool) -> tuple[int, str]:
+def _signed_piece(rf: RationalFunction, latex: bool) -> tuple[int, str]:
+    """(sign, body) of a rational function; its denominator is monic, so the
+    numerator's leading coefficient carries the sign."""
     if rf.is_zero:
         return 1, "0"
-    content, _ = factor_for_display(rf.num)
-    sign = -1 if content < 0 else 1
-    scaled = RationalFunction(rf.num * sign, rf.den)
-    if scaled.is_polynomial:
-        return sign, polynomial_text(scaled.num, latex)
-    return sign, rational_function_text(scaled, latex)
+    sign = -1 if rf.num.leading < 0 else 1
+    return sign, rational_function_text(RationalFunction(rf.num * sign, rf.den), latex)
 
 
 def render(cf: ClosedForm, fmt: str = "text") -> str:
@@ -267,7 +266,7 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
         sym_text = _symbol_text(sym, latex)
         pieces.append((sign, f"{body} {sym_text}" if body else sym_text))
     if not cf.constant.is_zero or not pieces:
-        pieces.append(_constant_piece(cf.constant, latex))
+        pieces.append(_signed_piece(cf.constant, latex))
     out = []
     for i, (sign, body) in enumerate(pieces):
         if i == 0:

@@ -1,12 +1,15 @@
 """Command-line interface: flags, formats, exit codes, output files."""
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from harmonic_sums import CLOSED_FORM_SCHEMA, parse_closed_form, sum_f
+from harmonic_sums import CLOSED_FORM_SCHEMA, ClosedForm, cli, parse_closed_form, sum_f
 from harmonic_sums.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -67,6 +70,12 @@ class TestTable:
         code, out = run(capsys, "table")
         assert code == 0
         assert len(out.strip().splitlines()) == 72
+
+    @pytest.mark.parametrize("fmt,recorded", [("text", "table.txt"), ("latex", "table.tex")])
+    def test_matches_recorded_bytes(self, capsys, fmt, recorded):
+        code, out = run(capsys, "table", "--format", fmt)
+        assert code == 0
+        assert out == (DATA / recorded).read_text(encoding="utf-8")
 
     def test_deterministic(self, capsys):
         _, first = run(capsys, "table", "--format", "latex")
@@ -145,11 +154,21 @@ class TestVerify:
         assert code == 0
         assert "11 cells, 11 passed" in out
 
-    def test_corrupted_build_fails(self, capsys):
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        """Negative control: every closed form the verifier builds is off by one."""
+        build = cli.build_closed_form
+
+        def corrupt(family, p, m, s):
+            cf = build(family, p, m, s)
+            return ClosedForm(cf.constant + 1, cf.terms)
+
+        monkeypatch.setattr(cli, "build_closed_form", corrupt)
+
+    def test_corrupted_build_fails(self, capsys, corrupted):
         code, out = run(
             capsys,
             "verify", "--family", "f", "--p", "1", "--m", "1", "--n-max", "5",
-            "--corrupt",
         )
         assert code == 1
         assert "FAIL" in out
@@ -165,11 +184,11 @@ class TestVerify:
         assert data["all_passed"] is True
         assert data["grids"][0]["total"] == 9
 
-    def test_corrupted_json_lists_failures(self, capsys):
+    def test_corrupted_json_lists_failures(self, capsys, corrupted):
         code, out = run(
             capsys,
             "verify", "--family", "f", "--p", "0", "--m", "1", "--n-max", "3",
-            "--corrupt", "--format", "json",
+            "--format", "json",
         )
         assert code == 1
         data = json.loads(out)

@@ -6,7 +6,9 @@ the offset-splitting law for direct harmonic numbers) runs on at least
 200 generated instances.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from harmonic_sums import (
     shift_basis,
     substitute_n,
 )
+from harmonic_sums.render import factor_for_display
 
 MANY = settings(max_examples=200, deadline=None)
 
@@ -131,3 +134,30 @@ def test_subtraction_inverts_addition(x):
 @given(closed_forms)
 def test_json_round_trip(cf):
     assert parse_closed_form(render(cf, "json")) == cf
+
+
+# (p, q) for a linear factor q*n - p
+small_roots = st.tuples(
+    st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=50)
+)
+
+
+@MANY
+@given(st.lists(small_roots, max_size=5), polynomials.filter(bool))
+def test_display_factoring_is_exact_and_finds_small_roots(roots, remainder):
+    poly = remainder
+    for p, q in roots:
+        poly = poly * Polynomial.linear(q, -p)
+    scalar, factors = factor_for_display(poly)
+
+    product = Polynomial.constant(scalar)
+    for factor, mult in factors:
+        product = product * factor**mult
+    assert product == poly
+    assert all(factor.leading > 0 for factor, _ in factors)
+    assert (scalar < 0) == (poly.leading < 0)
+
+    found = dict(factors)
+    drawn = Counter(Polynomial.linear(q // gcd(p, q), -p // gcd(p, q)) for p, q in roots)
+    for factor, mult in drawn.items():
+        assert found.get(factor, 0) >= mult

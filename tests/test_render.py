@@ -1,6 +1,8 @@
 """Rendering and the JSON serialization contract."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -75,6 +77,47 @@ class TestPolynomialDisplay:
     def test_constant_polynomial(self):
         assert polynomial_text(Polynomial([Fraction(-3, 4)])) == "-3/4"
         assert polynomial_text(Polynomial()) == "0"
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    # A fresh interpreter with a timeout, so a search that blows up fails
+    # the test instead of hanging the suite.
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=20
+    )
+
+
+class TestRootSearchIsBounded:
+    """Large coefficients: display factoring must finish however big they are."""
+
+    @pytest.mark.parametrize(
+        "argv,head",
+        [
+            (("faulhaber", "--p", "40"), "sum_(k=1..n) k^40 = 1/94710 n(n+1)(2n+1)(1155n^38+"),
+            (("identity", "--family", "f", "--p", "10", "--m", "2",
+              "--offset-a", "5", "--offset-b", "5"), "1/11 (n+1)(48828126n^10+"),
+            (("identity", "--family", "g", "--p", "16", "--m", "-10",
+              "--offset-a", "10", "--offset-b", "10"), "1/16062686640 n(n+1)(9143516150704256324n^26+"),
+        ],
+        ids=["faulhaber-p40", "f-p10-m2-s5n+5", "g-p16-m-10-s10n+10"],
+    )  # fmt: skip
+    def test_cli_text_render_finishes(self, argv, head):
+        result = _run_python("-m", "harmonic_sums", *argv)
+        assert result.returncode == 0
+        assert result.stdout.startswith(head)
+
+    def test_huge_primitive_polynomial(self):
+        # L n^12 + n + L with L = lcm(1..40): no small rational root, and
+        # L has 36,864 divisors, so trying every divisor pair never finishes
+        result = _run_python(
+            "-c",
+            "from math import lcm; from harmonic_sums import Polynomial; "
+            "from harmonic_sums.render import polynomial_text; "
+            "L = lcm(*range(1, 41)); "
+            "print(polynomial_text(Polynomial([L, 1] + [0] * 10 + [L])))",
+        )
+        assert result.returncode == 0
+        assert result.stdout.strip() == "(5342931457063200n^12+n+5342931457063200)"
 
 
 class TestLatexRendering:
