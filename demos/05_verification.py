@@ -9,13 +9,14 @@ corollaries, and a JSON round trip.
 import time
 
 from harmonic_sums import (
+    COROLLARY_START,
     GridSpec,
     LinearArg,
     build_closed_form,
-    corollary_check,
+    corollary_rows,
     parse_closed_form,
     render,
-    sbp_check,
+    sbp_rows,
     sum_f,
     verify_grid,
 )
@@ -37,18 +38,17 @@ print()
 print("Summation by parts: sum [(k+1)^w - k^w] H_k^(m) telescopes against")
 print("(n+1)^w H_n^(m) - H_n^(m-w), for positive and negative w alike:")
 for m in range(-2, 4):
-    row = []
+    marks = []
     for w in range(-3, 4):
-        ok = all(sbp_check(m, w, n).all_passed for n in range(31))
-        row.append("ok" if ok else "FAIL")
+        ok = all(row.passed for row in sbp_rows(m, w, 30))
+        marks.append("ok" if ok else "FAIL")
         assert ok
-    print(f"  m = {m:+d}: w = -3..3 -> {' '.join(row)}")
+    print(f"  m = {m:+d}: w = -3..3 -> {' '.join(marks)}")
 print()
 
 print("Classical weighted corollaries:")
-for which in ("inv_k", "inv_k_plus_1"):
-    start_n = 1 if which == "inv_k" else 0
-    ok = all(corollary_check(which, n).all_passed for n in range(start_n, 101))
+for which, start_n in COROLLARY_START.items():
+    ok = all(row.passed for row in corollary_rows(which, 100))
     print(f"  {which}: n = {start_n}..100: {'all pass' if ok else 'FAIL'}")
     assert ok
 print()

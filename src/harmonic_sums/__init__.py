@@ -19,24 +19,24 @@ from .closed_form import (
 )
 from .exact import BernoulliCache, bernoulli_plus, binomial, int_pow
 from .identities import (
-    CheckRow,
-    IdentityReport,
     build_closed_form,
-    corollary_check,
     offset_basis,
     offset_sum_f,
     offset_sum_g,
-    sbp_check,
     sum_f,
     sum_g,
 )
 from .catalog import CatalogEntry, catalog_entries
 from .oracle import (
+    COROLLARY_START,
+    CheckRow,
     GridCell,
     GridSpec,
     VerificationReport,
+    corollary_rows,
     harmonic_direct,
     lhs_direct,
+    sbp_rows,
     verify_grid,
 )
 from .polynomial import PoleError, Polynomial, RationalFunction, faulhaber_poly
@@ -50,6 +50,7 @@ from .render import (
 __all__ = [
     "BernoulliCache",
     "CLOSED_FORM_SCHEMA",
+    "COROLLARY_START",
     "CatalogEntry",
     "CheckRow",
     "ClosedForm",
@@ -57,7 +58,6 @@ __all__ = [
     "GridCell",
     "GridSpec",
     "HarmonicSymbol",
-    "IdentityReport",
     "LinearArg",
     "PoleError",
     "Polynomial",
@@ -68,7 +68,7 @@ __all__ = [
     "build_closed_form",
     "catalog_entries",
     "closed_form_to_json",
-    "corollary_check",
+    "corollary_rows",
     "evaluate_cf",
     "faulhaber_poly",
     "harmonic_direct",
@@ -81,7 +81,7 @@ __all__ = [
     "offset_sum_g",
     "parse_closed_form",
     "render",
-    "sbp_check",
+    "sbp_rows",
     "shift_basis",
     "substitute_n",
     "sum_f",

@@ -19,19 +19,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .catalog import catalog_entries
 from .closed_form import ClosedForm, LinearArg
 from .exact import bernoulli_plus
-from .identities import (
-    build_closed_form,
-    corollary_check,
-    offset_sum_f,
-    offset_sum_g,
-    sbp_check,
+from .identities import build_closed_form, offset_sum_f, offset_sum_g
+from .oracle import (
+    COROLLARY_START,
+    CheckRow,
+    GridCell,
+    GridSpec,
+    VerificationReport,
+    corollary_rows,
+    sbp_rows,
+    verify_grid,
 )
-from .oracle import GridSpec, VerificationReport, verify_grid
 from .polynomial import RationalFunction, faulhaber_poly
 from .render import (
     FORMATS,
@@ -65,6 +68,8 @@ def entrypoint() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
+        sys.set_int_max_str_digits(0)  # exact values may have any number of digits
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -118,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--sbp", action="store_true", help="run the summation-by-parts sweep")
     p_check.add_argument(
         "--corollary",
-        choices=("inv_k", "inv_k_plus_1", "both"),
+        choices=(*COROLLARY_START, "both"),
         default=None,
         help="run the weighted-sum corollary checks",
     )
@@ -280,28 +285,35 @@ def _report_payload(spec: GridSpec, report: VerificationReport) -> dict:
                 "p": cell.p,
                 "m": cell.m,
                 "offset": {"a": cell.s.a, "b": cell.s.b},
-                "n": cell.n,
-                "lhs": fraction_to_json(cell.lhs),
-                "rhs": fraction_to_json(cell.rhs),
+                **_failure_json(cell),
             }
             for cell in report.failures()
         ],
     }
 
 
+def _failure_json(row: GridCell | CheckRow) -> dict:
+    return {"n": row.n, "lhs": fraction_to_json(row.lhs), "rhs": fraction_to_json(row.rhs)}
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     run_sbp = args.sbp or args.corollary is None
-    if args.corollary == "both":
-        run_corollary: tuple[str, ...] = ("inv_k", "inv_k_plus_1")
-    elif args.corollary is not None:
-        run_corollary = (args.corollary,)
-    elif not args.sbp:  # bare `check` runs everything
-        run_corollary = ("inv_k", "inv_k_plus_1")
+    if args.corollary is None:  # bare `check` runs everything
+        run_corollary: tuple[str, ...] = () if args.sbp else tuple(COROLLARY_START)
+    elif args.corollary == "both":
+        run_corollary = tuple(COROLLARY_START)
     else:
-        run_corollary = ()
+        run_corollary = (args.corollary,)
     lines: list[str] = []
     results: list[dict] = []
-    all_ok = True
+
+    def record(label: str, entry: dict, rows: Iterator[CheckRow]) -> None:
+        bad = next((row for row in rows if not row.passed), None)
+        lines.append(f"{label}: {'PASS' if bad is None else 'FAIL'}")
+        results.append({**entry, "passed": bad is None})
+        if bad is not None:
+            lines.append(f"  FAIL at n={bad.n}: direct sum {bad.lhs} != closed form {bad.rhs}")
+            results[-1]["failure"] = _failure_json(bad)
 
     if run_sbp:
         n_max = args.n_max if args.n_max is not None else 30
@@ -309,21 +321,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         w_values = (args.w,) if args.w is not None else range(SBP_W_RANGE[0], SBP_W_RANGE[1] + 1)
         for m in m_values:
             for w in w_values:
-                ok = all(sbp_check(m, w, n).all_passed for n in range(n_max + 1))
-                all_ok &= ok
-                lines.append(
-                    f"summation-by-parts m={m} w={w} n=0..{n_max}: "
-                    f"{'PASS' if ok else 'FAIL'}"
-                )
-                results.append({"check": "sbp", "m": m, "w": w, "n_max": n_max, "passed": ok})
+                entry = {"check": "sbp", "m": m, "w": w, "n_max": n_max}
+                label = f"summation-by-parts m={m} w={w} n=0..{n_max}"
+                record(label, entry, sbp_rows(m, w, n_max))
     for which in run_corollary:
         n_max = args.n_max if args.n_max is not None else 100
-        start = 1 if which == "inv_k" else 0
-        ok = all(corollary_check(which, n).all_passed for n in range(start, n_max + 1))
-        all_ok &= ok
-        lines.append(f"corollary {which} n={start}..{n_max}: {'PASS' if ok else 'FAIL'}")
-        results.append({"check": "corollary", "which": which, "n_max": n_max, "passed": ok})
+        entry = {"check": "corollary", "which": which, "n_max": n_max}
+        label = f"corollary {which} n={COROLLARY_START[which]}..{n_max}"
+        record(label, entry, corollary_rows(which, n_max))
 
+    all_ok = all(entry["passed"] for entry in results)
     if args.format == "json":
         _emit(json.dumps({"all_passed": all_ok, "checks": results}, indent=2), args.output)
     else:

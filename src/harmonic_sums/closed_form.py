@@ -10,6 +10,7 @@ symbol family used here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -96,7 +97,9 @@ class HarmonicSymbol:
 
 # Direct-summation harmonic values, memoized per (order) as prefix lists.
 # Kept local to this module so evaluation shares no code with the oracle.
+# Growth holds the lock so that two threads never append the same index twice.
 _VALUE_CACHE: dict[int, list[Fraction]] = {}
+_VALUE_LOCK = threading.Lock()
 
 
 def harmonic_value(c: int, order: int) -> Fraction:
@@ -104,9 +107,11 @@ def harmonic_value(c: int, order: int) -> Fraction:
     if c < 0:
         raise ValueError(f"harmonic number at negative argument {c}")
     prefix = _VALUE_CACHE.setdefault(order, [Fraction(0)])
-    while len(prefix) <= c:
-        k = len(prefix)
-        prefix.append(prefix[-1] + int_pow(Fraction(k), -order))
+    if len(prefix) <= c:
+        with _VALUE_LOCK:
+            while len(prefix) <= c:
+                k = len(prefix)
+                prefix.append(prefix[-1] + int_pow(Fraction(k), -order))
     return prefix[c]
 
 

@@ -1,4 +1,4 @@
-"""Closed-form constructors and exact numeric checkers for harmonic sums.
+"""Closed-form constructors for weighted harmonic sums.
 
 The constructors produce canonical closed forms for
 
@@ -13,14 +13,10 @@ H_{(a+1)n+b+1} together with H_{an+b} for the offset sums). The
 ``offset_harmonic`` flag switches the offset constructors to the sums over
 H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m), which differ by an explicit
 H_s^(m)-weighted correction.
-
-The checkers verify the summation-by-parts identity and the two classical
-H_k/k corollaries numerically, in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closed_form import (
@@ -30,19 +26,14 @@ from .closed_form import (
     shift_basis,
     substitute_n,
 )
-from .exact import bernoulli_plus, binomial, int_pow
+from .exact import bernoulli_plus, binomial
 from .polynomial import Polynomial, RationalFunction, faulhaber_poly
-from .oracle import harmonic_direct
 
 __all__ = [
-    "CheckRow",
-    "IdentityReport",
     "build_closed_form",
-    "corollary_check",
     "offset_basis",
     "offset_sum_f",
     "offset_sum_g",
-    "sbp_check",
     "sum_f",
     "sum_g",
 ]
@@ -165,73 +156,3 @@ def build_closed_form(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
         return offset_sum_g(p, m, s)
     raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
 
-
-# ---------------------------------------------------------------------------
-# numeric identity checkers
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking one identity at one or more points, exactly."""
-
-    family: str
-    params: dict = field(hash=False)
-    rows: tuple[CheckRow, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    def failures(self) -> tuple[CheckRow, ...]:
-        return tuple(row for row in self.rows if not row.passed)
-
-
-def sbp_check(m: int, w: int, n: int) -> IdentityReport:
-    """Check sum_{k=0}^n [(k+1)**w - k**w] H_k^(m) == (n+1)**w H_n^(m) - H_n^(m-w).
-
-    Both sides are computed by direct rational summation. The k = 0 term
-    is zero regardless of w because H_0 = 0, so it is skipped and the
-    0**w pole for negative w never materializes.
-    """
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        weight = int_pow(Fraction(k + 1), w) - int_pow(Fraction(k), w)
-        lhs += weight * harmonic_direct(0, k, m)
-    rhs = int_pow(Fraction(n + 1), w) * harmonic_direct(0, n, m) - harmonic_direct(
-        0, n, m - w
-    )
-    return IdentityReport("sbp", {"m": m, "w": w}, (CheckRow(n, lhs, rhs),))
-
-
-def corollary_check(which: str, n: int) -> IdentityReport:
-    """Check one of the classical weighted harmonic sum identities at n.
-
-    'inv_k':        sum_{k=1}^n H_k / k     == (H_n**2 + H_n^(2)) / 2
-    'inv_k_plus_1': sum_{k=0}^n H_k / (k+1) == (H_{n+1}**2 - H_{n+1}^(2)) / 2
-    """
-    if which == "inv_k":
-        if n < 1:
-            raise ValueError("inv_k requires n >= 1")
-        lhs = sum(harmonic_direct(0, k, 1) / k for k in range(1, n + 1))
-        h = harmonic_direct(0, n, 1)
-        rhs = (h * h + harmonic_direct(0, n, 2)) / 2
-    elif which == "inv_k_plus_1":
-        if n < 0:
-            raise ValueError("inv_k_plus_1 requires n >= 0")
-        lhs = sum(harmonic_direct(0, k, 1) / (k + 1) for k in range(n + 1))
-        h = harmonic_direct(0, n + 1, 1)
-        rhs = (h * h - harmonic_direct(0, n + 1, 2)) / 2
-    else:
-        raise ValueError(f"unknown corollary {which!r}")
-    return IdentityReport("corollary", {"which": which}, (CheckRow(n, lhs, rhs),))

@@ -14,13 +14,13 @@ from harmonic_sums import (
     GridSpec,
     LinearArg,
     build_closed_form,
-    corollary_check,
+    corollary_rows,
     evaluate_cf,
     faulhaber_poly,
     lhs_direct,
     offset_sum_f,
     offset_sum_g,
-    sbp_check,
+    sbp_rows,
     sum_f,
     sum_g,
     verify_grid,
@@ -109,18 +109,22 @@ def test_08_summation_by_parts():
     with criterion(8, "summation by parts, m in -2..3, w in -3..3, n in 0..30"):
         for m in range(-2, 4):
             for w in range(-3, 4):
-                for n in range(31):
-                    assert sbp_check(m, w, n).all_passed, (m, w, n)
+                for row in sbp_rows(m, w, 30):
+                    assert row.passed, (m, w, row.n)
 
 
 def test_09_corollary_identities():
-    with criterion(9, "weighted corollary identities, n in 1..100"):
-        spot = corollary_check("inv_k", 3)
-        assert spot.rows[0].lhs == Fraction(85, 36)
-        assert spot.all_passed
-        for n in range(1, 101):
-            assert corollary_check("inv_k", n).all_passed, n
-            assert corollary_check("inv_k_plus_1", n).all_passed, n
+    with criterion(9, "weighted corollary identities, inv_k n in 1..100, inv_k_plus_1 n in 0..100"):
+        rows = {which: list(corollary_rows(which, 100)) for which in ("inv_k", "inv_k_plus_1")}
+        spot = rows["inv_k"][2]
+        assert spot.n == 3
+        assert spot.lhs == Fraction(85, 36)
+        assert spot.passed
+        assert [row.n for row in rows["inv_k"]] == list(range(1, 101))
+        assert [row.n for row in rows["inv_k_plus_1"]] == list(range(101))
+        for which, sweep in rows.items():
+            for row in sweep:
+                assert row.passed, (which, row.n)
 
 
 def test_10_zero_offset_degeneracy():

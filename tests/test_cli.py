@@ -1,6 +1,10 @@
 """Command-line interface: flags, formats, exit codes, output files."""
 
 import json
+import subprocess
+import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -219,6 +223,57 @@ class TestCheck:
         assert data["all_passed"] is True
         kinds = {entry["check"] for entry in data["checks"]}
         assert kinds == {"sbp", "corollary"}
+        assert all("failure" not in entry for entry in data["checks"])
+
+    def test_long_sweep_finishes(self):
+        # a fresh interpreter with a timeout: the sweep must stay linear in n
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums",
+             "check", "--sbp", "--m", "1", "--w", "1", "--n-max", "2000"],
+            capture_output=True, text=True, timeout=20,
+        )  # fmt: skip
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [
+            "summation-by-parts m=1 w=1 n=0..2000: PASS",
+            "all checks passed",
+        ]
+
+    @pytest.fixture
+    def broken_row(self, monkeypatch):
+        """Negative control: every sweep's row at n = 7 has its right side off by one."""
+
+        def corrupt(rows):
+            def corrupted(*args):
+                for row in rows(*args):
+                    yield replace(row, rhs=row.rhs + 1) if row.n == 7 else row
+
+            return corrupted
+
+        monkeypatch.setattr(cli, "sbp_rows", corrupt(cli.sbp_rows))
+        monkeypatch.setattr(cli, "corollary_rows", corrupt(cli.corollary_rows))
+
+    def test_broken_row_is_named(self, capsys, broken_row):
+        code, out = run(capsys, "check", "--m", "1", "--w", "2", "--n-max", "9")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "summation-by-parts m=1 w=2 n=0..9: FAIL"
+        assert lines[1].startswith("  FAIL at n=7: direct sum ")
+        assert " != closed form " in lines[1]
+        assert lines[-1] == "checks FAILED"
+        assert sum(line.startswith("  FAIL at n=7:") for line in lines) == 3
+
+    def test_broken_row_json(self, capsys, broken_row):
+        code, out = run(capsys, "check", "--corollary", "inv_k", "--n-max", "9", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["all_passed"] is False
+        (entry,) = data["checks"]
+        assert entry["passed"] is False
+        failure = entry["failure"]
+        assert failure["n"] == 7
+        lhs = Fraction(int(failure["lhs"]["num"]), int(failure["lhs"]["den"]))
+        rhs = Fraction(int(failure["rhs"]["num"]), int(failure["rhs"]["den"]))
+        assert rhs == lhs + 1
 
 
 class TestAuxiliaryCommands:
@@ -232,6 +287,30 @@ class TestAuxiliaryCommands:
             "B+(3) = 0",
             "B+(4) = -1/30",
         ]
+
+    @pytest.fixture
+    def default_digit_limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield
+        sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("text", "B+(0) = {num}/3"),
+            ("latex", "B^+_{{0}} = \\frac{{{num}}}{{3}}"),
+            ("json", '"num": "{num}"'),
+        ],
+        ids=["text", "latex", "json"],
+    )
+    def test_bernoulli_beyond_digit_limit(self, capsys, monkeypatch, default_digit_limit, fmt, expected):
+        # 5,001 digits: more than the interpreter converts to str by default
+        num = 10**5000 + 1
+        monkeypatch.setattr(cli, "bernoulli_plus", lambda k: Fraction(num, 3))
+        code, out = run(capsys, "bernoulli", "--n-max", "0", "--format", fmt)
+        assert code == 0
+        assert expected.format(num="1" + "0" * 4999 + "1") in out
 
     def test_faulhaber(self, capsys):
         code, out = run(capsys, "faulhaber", "--p", "3")

@@ -1,4 +1,4 @@
-"""Closed-form constructors and the exact numeric checkers."""
+"""Closed-form constructors and the oracle's summation-by-parts and corollary sweeps."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import known_identities as known
 from harmonic_sums import (
     LinearArg,
     build_closed_form,
-    corollary_check,
+    corollary_rows,
     evaluate_cf,
     faulhaber_poly,
     harmonic_direct,
@@ -16,7 +16,7 @@ from harmonic_sums import (
     lhs_direct,
     offset_sum_f,
     offset_sum_g,
-    sbp_check,
+    sbp_rows,
     sum_f,
     sum_g,
 )
@@ -205,46 +205,51 @@ class TestNegativeOrders:
 class TestSummationByParts:
     @pytest.mark.parametrize("m,w,n", [(1, 2, 5), (2, -1, 0), (3, -2, 10), (0, 3, 7), (-2, -3, 12)])
     def test_samples(self, m, w, n):
-        report = sbp_check(m, w, n)
-        assert report.all_passed
-        assert report.rows[0].lhs == report.rows[0].rhs
+        rows = list(sbp_rows(m, w, n))
+        assert [row.n for row in rows] == list(range(n + 1))
+        assert rows[-1].passed
+        assert rows[-1].lhs == rows[-1].rhs
 
     def test_zero_weight_exponent_degenerates(self):
         # w = 0 makes every summand vanish and the right side cancel
-        for n in range(10):
-            report = sbp_check(2, 0, n)
-            assert report.rows[0].lhs == 0
-            assert report.rows[0].rhs == 0
+        for row in sbp_rows(2, 0, 9):
+            assert row.lhs == 0
+            assert row.rhs == 0
 
     def test_full_sweep(self):
         for m in range(-2, 4):
             for w in range(-3, 4):
-                for n in range(31):
-                    assert sbp_check(m, w, n).all_passed, (m, w, n)
+                for row in sbp_rows(m, w, 30):
+                    assert row.passed, (m, w, row.n)
 
 
 class TestCorollaries:
     def test_first_values(self):
-        report = corollary_check("inv_k", 1)
-        assert report.rows[0].lhs == 1
-        assert report.rows[0].rhs == 1
+        row = next(corollary_rows("inv_k", 1))
+        assert row.n == 1
+        assert row.lhs == 1
+        assert row.rhs == 1
 
     def test_spot_value(self):
-        report = corollary_check("inv_k", 3)
-        assert report.rows[0].lhs == Fraction(85, 36)
-        assert report.all_passed
+        row = list(corollary_rows("inv_k", 3))[-1]
+        assert row.n == 3
+        assert row.lhs == Fraction(85, 36)
+        assert row.passed
 
     def test_shifted_variant(self):
-        report = corollary_check("inv_k_plus_1", 2)
-        assert report.rows[0].lhs == 1
-        assert report.all_passed
+        rows = list(corollary_rows("inv_k_plus_1", 2))
+        assert [row.n for row in rows] == [0, 1, 2]
+        assert rows[-1].lhs == 1
+        assert rows[-1].passed
 
     def test_ranges(self):
-        assert all(corollary_check("inv_k", n).all_passed for n in range(1, 101))
-        assert all(corollary_check("inv_k_plus_1", n).all_passed for n in range(101))
+        inv_k = list(corollary_rows("inv_k", 100))
+        inv_k_plus_1 = list(corollary_rows("inv_k_plus_1", 100))
+        assert [row.n for row in inv_k] == list(range(1, 101))
+        assert [row.n for row in inv_k_plus_1] == list(range(101))
+        assert all(row.passed for row in inv_k + inv_k_plus_1)
 
     def test_validation(self):
+        assert list(corollary_rows("inv_k", 0)) == []
         with pytest.raises(ValueError):
-            corollary_check("inv_k", 0)
-        with pytest.raises(ValueError):
-            corollary_check("nonsense", 3)
+            list(corollary_rows("nonsense", 3))

@@ -1,9 +1,12 @@
 """Brute-force evaluators and grid verification."""
 
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
+from harmonic_sums import closed_form, oracle
 from harmonic_sums import (
     ClosedForm,
     GridSpec,
@@ -50,6 +53,49 @@ class TestHarmonicDirect:
             harmonic_direct(-1, 3, 1)
         with pytest.raises(ValueError):
             harmonic_direct(0, -3, 1)
+
+
+class TestPrefixCachesUnderThreads:
+    """Several threads growing one harmonic prefix list must not append an index twice."""
+
+    @pytest.mark.parametrize(
+        "module,cache,lookup",
+        [
+            (oracle, "_PREFIX", lambda n: oracle.harmonic_direct(0, n, 2)),
+            (closed_form, "_VALUE_CACHE", lambda n: closed_form.harmonic_value(n, 2)),
+        ],
+        ids=["oracle", "closed_form"],
+    )
+    def test_concurrent_growth(self, monkeypatch, module, cache, lookup):
+        fast = module.int_pow
+
+        def slow_int_pow(base, exp):
+            time.sleep(0.0005)  # yields the interpreter lock in mid-growth
+            return fast(base, exp)
+
+        monkeypatch.setattr(module, cache, {})
+        monkeypatch.setattr(module, "int_pow", slow_int_pow)
+        n_max = 40
+        start = threading.Barrier(4)
+        results: dict[int, list[Fraction]] = {}
+
+        def work(i: int) -> None:
+            start.wait()
+            results[i] = [lookup(n) for n in range(n_max + 1)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        literal = [
+            sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
+            for n in range(n_max + 1)
+        ]
+        assert sorted(results) == [0, 1, 2, 3]
+        for values in results.values():
+            assert values == literal
 
 
 class TestLhsDirect:
