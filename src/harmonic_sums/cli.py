@@ -46,8 +46,11 @@ from .render import (
 )
 
 # Hard bounds on user-supplied parameters, enforced before dispatch.
+# MAX_P keeps the slowest accepted `identity` (family g, s = 10n+10,
+# m = -10) at about 4.5 s on a 2-core machine, within a 10 s budget.
 MAX_ORDER_BELOW = -10
 MAX_OFFSET = 10
+MAX_P = 80
 MAX_N = 10_000
 
 DEFAULT_GRID = {
@@ -150,8 +153,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     def bail(message: str) -> None:
         parser.error(message)  # exits with status 2
 
-    if getattr(args, "p", None) is not None and args.p < 0:
-        bail(f"--p must be nonnegative, got {args.p}")
+    if getattr(args, "p", None) is not None and not (0 <= args.p <= MAX_P):
+        bail(f"--p must be in [0, {MAX_P}], got {args.p}")
     if getattr(args, "m", None) is not None and args.m < MAX_ORDER_BELOW:
         bail(f"--m must be >= {MAX_ORDER_BELOW}, got {args.m}")
     for name in ("offset_a", "offset_b"):

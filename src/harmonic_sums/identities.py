@@ -17,6 +17,7 @@ H_s^(m)-weighted correction.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .closed_form import (
@@ -52,6 +53,10 @@ def _require_offset(s: LinearArg) -> None:
         raise ValueError(f"offset {s} is negative at n = 0")
 
 
+# The two term builders are pure and their forms are never mutated, so
+# they are memoized: offset_sum_* and the verify grid ask for the same
+# (p, m) again and again. The public constructors stay unmemoized.
+@functools.cache
 def _sum_f_terms(p: int, m: int) -> ClosedForm:
     """sum_{k=0}^n k**p H_k^(m) over the H_n basis (no final shift)."""
     total = harmonic_term(_ARG_N, m).scale(faulhaber_poly(p))
@@ -62,6 +67,7 @@ def _sum_f_terms(p: int, m: int) -> ClosedForm:
     return total
 
 
+@functools.cache
 def _sum_g_terms(p: int, m: int) -> ClosedForm:
     """sum_{k=0}^n k**p H_{n-k}^(m) over the H_n basis (no final shift)."""
     weight = faulhaber_poly(p) + (1 if p == 0 else 0)

@@ -9,6 +9,7 @@ reduced with a monic denominator for the same reason.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .exact import bernoulli_plus, binomial
@@ -116,13 +117,16 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Polynomial(out)
+        # integer convolution of the numerators, one division per coefficient
+        xs, dx = self._integer_form()
+        ys, dy = other._integer_form()
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, ci in enumerate(xs):
+            if ci:
+                for j, cj in enumerate(ys):
+                    out[i + j] += ci * cj
+        den = dx * dy
+        return Polynomial(Fraction(c, den) for c in out)
 
     __rmul__ = __mul__
 
@@ -175,21 +179,48 @@ class Polynomial:
             return self
         return self * (1 / self.leading)
 
+    def _integer_form(self) -> tuple[list[int], int]:
+        """Integer numerators over the common denominator D: coeffs[i] == nums[i] / D."""
+        den = 1  # a running lcm; lcm(*genexpr) first unpacks every denominator
+        for c in self.coeffs:
+            den = lcm(den, c.denominator)
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
     def evaluate(self, x: Scalar) -> Fraction:
-        """Horner evaluation at an exact point."""
+        """Exact value at x = p/q by integer Horner with one final division.
+
+        Accumulates sum nums[i] * p**i * q**(deg-i), then divides by D * q**deg.
+        """
+        if not self.coeffs:
+            return Fraction(0)
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        nums, den = self._integer_form()
+        acc, q_power = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            q_power *= q
+            acc = acc * p + c * q_power
+        return Fraction(acc, den * q_power)
 
     def compose_linear(self, a: int, b: int) -> Polynomial:
-        """The polynomial p(a*n + b), expanded and canonical."""
-        inner = Polynomial.linear(a, b)
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        """The polynomial p(a*n + b), expanded and canonical.
+
+        An integer Taylor shift (nums[j] += b * nums[j+1]) gives p(n + b);
+        coefficient j is then scaled by a**j from a running product, so
+        a = 0 yields the constant p(b) without evaluating 0**0.
+        """
+        nums, den = self._integer_form()
+        deg = len(nums) - 1
+        if b:
+            for i in range(deg):
+                for j in range(deg - 1, i - 1, -1):
+                    nums[j] += b * nums[j + 1]
+        out = []
+        a_power = 1
+        for c in nums:
+            out.append(Fraction(c * a_power, den))
+            a_power *= a
+        return Polynomial(out)
 
     def __repr__(self) -> str:
         from .render import polynomial_text
@@ -230,6 +261,10 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             num, den = Polynomial(), Polynomial((1,))
+        elif den.degree == 0:  # coprime already: only the scale needs fixing
+            lead = den.coeffs[0]
+            if lead != 1:
+                num, den = num / lead, Polynomial((1,))
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
@@ -270,6 +305,8 @@ class RationalFunction:
 
     def __add__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         other = _as_rf(other)
+        if self.den == other.den:  # mostly both 1: no cross products
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

@@ -60,6 +60,9 @@ class TestIdentity:
             ("identity", "--family", "f", "--p", "1", "--m", "-11"),
             ("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-a", "11"),
             ("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-b", "-1"),
+            ("identity", "--family", "g", "--p", str(cli.MAX_P + 1), "--m", "1"),
+            ("faulhaber", "--p", str(cli.MAX_P + 1)),
+            ("verify", "--p", str(cli.MAX_P + 1)),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -67,6 +70,17 @@ class TestIdentity:
             main(list(argv))
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_largest_accepted_p_finishes(self):
+        # the slowest accepted identity: family g, m = -10, s = 10n+10, p = MAX_P
+        argv = ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", "-10",
+                "--offset-a", "10", "--offset-b", "10", "--format", "json"]  # fmt: skip
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums", *argv],
+            capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["p"] == cli.MAX_P
 
 
 class TestTable:

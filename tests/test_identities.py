@@ -1,10 +1,13 @@
 """Closed-form constructors and the oracle's summation-by-parts and corollary sweeps."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import known_identities as known
+from harmonic_sums import identities
 from harmonic_sums import (
     LinearArg,
     build_closed_form,
@@ -139,6 +142,69 @@ class TestOffsetSums:
         assert build_closed_form("G", 2, 1, S0) == sum_g(2, 1)
         with pytest.raises(ValueError):
             build_closed_form("x", 0, 1, S0)
+
+
+class TestMemoizedTermBuilders:
+    """The memoized _sum_f_terms / _sum_g_terms are safe to share."""
+
+    ROWS = [(p, m, s) for p in range(4) for m in (-1, 1, 2) for s in (S0, LinearArg(1, 2))]
+
+    @staticmethod
+    def clear() -> None:
+        identities._sum_f_terms.cache_clear()
+        identities._sum_g_terms.cache_clear()
+
+    def build_all(self) -> list:
+        return [
+            (builder(p, m, s), builder(p, m, s, offset_harmonic=True))
+            for p, m, s in self.ROWS
+            for builder in (offset_sum_f, offset_sum_g)
+        ]
+
+    def test_threads_build_what_a_serial_run_builds(self):
+        self.clear()
+        serial = self.build_all()
+        self.clear()
+        start = threading.Barrier(4)
+        results: dict[int, list] = {}
+
+        def work(i: int) -> None:
+            start.wait()
+            results[i] = self.build_all()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for built in results.values():
+            assert built == serial
+
+    @pytest.mark.parametrize(
+        "terms,builder",
+        [(identities._sum_f_terms, offset_sum_f), (identities._sum_g_terms, offset_sum_g)],
+        ids=["f", "g"],
+    )
+    def test_callers_do_not_mutate_cached_forms(self, terms, builder):
+        self.clear()
+        p, m = 4, 2
+        cached = {k: terms(k, m) for k in range(p + 1)}
+        before = {k: hash(cf) for k, cf in cached.items()}
+        for a in range(3):
+            for b in range(3):
+                for variant in (False, True):
+                    builder(p, m, LinearArg(a, b), offset_harmonic=variant)
+                    assert {k: hash(cf) for k, cf in cached.items()} == before, (a, b)
+        for k, cf in cached.items():
+            assert terms(k, m) is cf
+            assert cf == terms.__wrapped__(k, m)
 
 
 class TestCanonicalEquality:

@@ -137,6 +137,34 @@ class TestRationalFunction:
         assert a / b == RationalFunction(N + 2, N + 1)
 
 
+class TestConstantDenominator:
+    """A constant denominator is divided into the numerator; no gcd runs."""
+
+    NUM = Polynomial([Fraction(1, 2), -3, 0, 7])
+
+    @pytest.mark.parametrize("c", [1, -1, 3, Fraction(-2, 3)])
+    def test_matches_scaled_numerator(self, c):
+        for den in (c, Polynomial.constant(c)):
+            rf = RationalFunction(self.NUM, den)
+            assert rf == RationalFunction(self.NUM / c)
+            assert rf.num == self.NUM / c
+            assert rf.den == Polynomial((1,))
+            assert rf.den.coeffs == (Fraction(1),)
+            assert type(rf.den.coeffs[0]) is Fraction
+
+    @pytest.mark.parametrize("c", [1, -1, 3, Fraction(-2, 3)])
+    def test_zero_numerator_is_zero_over_one(self, c):
+        rf = RationalFunction(Polynomial(), c)
+        assert rf.num == Polynomial()
+        assert rf.den.coeffs == (Fraction(1),)
+
+    def test_zero_denominator_still_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(self.NUM, 0)
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(self.NUM, Fraction(0))
+
+
 class TestFaulhaber:
     def test_smallest_cases(self):
         assert faulhaber_poly(0) == N

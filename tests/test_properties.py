@@ -3,14 +3,16 @@
 Each of the four core properties (basis-shift value preservation,
 substitution/evaluation commutation, canonicalization idempotence, and
 the offset-splitting law for direct harmonic numbers) runs on at least
-200 generated instances.
+200 generated instances. The integer polynomial kernels (product, linear
+composition, evaluation) are checked against Fraction reference
+implementations kept in this file.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from harmonic_sums import (
     ClosedForm,
@@ -161,3 +163,69 @@ def test_display_factoring_is_exact_and_finds_small_roots(roots, remainder):
     drawn = Counter(Polynomial.linear(q // gcd(p, q), -p // gcd(p, q)) for p, q in roots)
     for factor, mult in drawn.items():
         assert found.get(factor, 0) >= mult
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against Fraction references
+
+
+def reference_product(xs, ys):
+    """Coefficient list of the product, by Fraction convolution."""
+    if not xs or not ys:
+        return []
+    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out
+
+
+def reference_compose_linear(poly, a, b):
+    """p(a*n + b) by Horner over Fraction coefficient lists."""
+    acc = []
+    for c in reversed(poly.coeffs):
+        acc = reference_product(acc, [Fraction(b), Fraction(a)]) or [Fraction(0)]
+        acc[0] += c
+    return Polynomial(acc)
+
+
+def reference_evaluate(poly, x):
+    """Fraction Horner evaluation."""
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+kernel_polynomials = st.lists(fractions, min_size=0, max_size=9).map(Polynomial)
+
+points = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
+
+
+@MANY
+@given(kernel_polynomials, kernel_polynomials)
+@example(Polynomial(), Polynomial([1, 2]))
+def test_product_matches_fraction_convolution(x, y):
+    assert x * y == Polynomial(reference_product(x.coeffs, y.coeffs))
+
+
+@MANY
+@given(kernel_polynomials)
+@example(Polynomial())
+@example(Polynomial([Fraction(1, 2), 0, Fraction(-3, 7)]))
+def test_compose_linear_matches_fraction_horner(poly):
+    # a = 0 folds to the constant p(b); negative b arises as LinearArg(a, b - 1)
+    for a in range(6):
+        for b in range(-5, 6):
+            assert poly.compose_linear(a, b) == reference_compose_linear(poly, a, b), (a, b)
+
+
+@MANY
+@given(kernel_polynomials, st.lists(points, min_size=1, max_size=6))
+@example(Polynomial(), [0, -3, Fraction(2, 5)])
+@example(Polynomial([Fraction(5, 6), 1, Fraction(-1, 4)]), [0, -1, -7, Fraction(-3, 2)])
+def test_evaluate_matches_fraction_horner(poly, xs):
+    for x in xs:
+        value = poly.evaluate(x)
+        assert type(value) is Fraction
+        assert value == reference_evaluate(poly, Fraction(x)), x
