@@ -46,11 +46,14 @@ from .render import (
 )
 
 # Hard bounds on user-supplied parameters, enforced before dispatch.
-# MAX_P keeps the slowest accepted `identity` (family g, s = 10n+10,
-# m = -10) at about 4.5 s on a 2-core machine, within a 10 s budget.
+# MAX_P bounds --p of `identity` and `verify`, which build closed forms: the
+# slowest accepted identity (family g, s = 10n+10, m = -10) takes about
+# 4.5 s on a 2-core machine, within a 10 s budget. `faulhaber` builds one
+# power-sum polynomial only; at MAX_FAULHABER_P it takes about 3 s.
 MAX_ORDER_BELOW = -10
 MAX_OFFSET = 10
 MAX_P = 80
+MAX_FAULHABER_P = 640
 MAX_N = 10_000
 
 DEFAULT_GRID = {
@@ -153,8 +156,10 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     def bail(message: str) -> None:
         parser.error(message)  # exits with status 2
 
-    if getattr(args, "p", None) is not None and not (0 <= args.p <= MAX_P):
-        bail(f"--p must be in [0, {MAX_P}], got {args.p}")
+    if getattr(args, "p", None) is not None:
+        p_max = MAX_FAULHABER_P if args.command == "faulhaber" else MAX_P
+        if not (0 <= args.p <= p_max):
+            bail(f"--p must be in [0, {p_max}], got {args.p}")
     if getattr(args, "m", None) is not None and args.m < MAX_ORDER_BELOW:
         bail(f"--m must be >= {MAX_ORDER_BELOW}, got {args.m}")
     for name in ("offset_a", "offset_b"):

@@ -53,10 +53,19 @@ def _require_offset(s: LinearArg) -> None:
         raise ValueError(f"offset {s} is negative at n = 0")
 
 
-# The two term builders are pure and their forms are never mutated, so
-# they are memoized: offset_sum_* and the verify grid ask for the same
-# (p, m) again and again. The public constructors stay unmemoized.
-@functools.cache
+# The two term builders are memoized for runs that build many rows in one
+# process, such as `harmsum table` and the default `harmsum verify` grid.
+# offset_sum_f(p, m, s) needs _sum_f_terms(p - k, m) for k = 0..p, and
+# offset_sum_g(p, m, s) needs _sum_g_terms(k, m), so every row with the same
+# m asks again for the forms that rows of lower p already built. A single
+# identity repeats almost none of its requests. The builders are pure and
+# their forms are never mutated. Each cache keeps at most _TERMS_CACHE_SIZE
+# forms; the default verify grid uses 35 keys per builder. The public
+# constructors stay unmemoized.
+_TERMS_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
 def _sum_f_terms(p: int, m: int) -> ClosedForm:
     """sum_{k=0}^n k**p H_k^(m) over the H_n basis (no final shift)."""
     total = harmonic_term(_ARG_N, m).scale(faulhaber_poly(p))
@@ -67,7 +76,7 @@ def _sum_f_terms(p: int, m: int) -> ClosedForm:
     return total
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
 def _sum_g_terms(p: int, m: int) -> ClosedForm:
     """sum_{k=0}^n k**p H_{n-k}^(m) over the H_n basis (no final shift)."""
     weight = faulhaber_poly(p) + (1 if p == 0 else 0)

@@ -61,7 +61,7 @@ class TestIdentity:
             ("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-a", "11"),
             ("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-b", "-1"),
             ("identity", "--family", "g", "--p", str(cli.MAX_P + 1), "--m", "1"),
-            ("faulhaber", "--p", str(cli.MAX_P + 1)),
+            ("faulhaber", "--p", str(cli.MAX_FAULHABER_P + 1)),
             ("verify", "--p", str(cli.MAX_P + 1)),
         ],
     )
@@ -71,16 +71,23 @@ class TestIdentity:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_largest_accepted_p_finishes(self):
-        # the slowest accepted identity: family g, m = -10, s = 10n+10, p = MAX_P
-        argv = ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", "-10",
-                "--offset-a", "10", "--offset-b", "10", "--format", "json"]  # fmt: skip
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the slowest accepted identity: family g, m = -10, s = 10n+10, p = MAX_P
+            ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", "-10",
+             "--offset-a", "10", "--offset-b", "10", "--format", "json"],
+            ["faulhaber", "--p", str(cli.MAX_FAULHABER_P), "--format", "json"],
+        ],
+        ids=["identity", "faulhaber"],
+    )  # fmt: skip
+    def test_largest_accepted_p_finishes(self, argv):
         result = subprocess.run(
             [sys.executable, "-m", "harmonic_sums", *argv],
             capture_output=True, text=True, timeout=30,
         )  # fmt: skip
         assert result.returncode == 0
-        assert json.loads(result.stdout)["p"] == cli.MAX_P
+        assert json.loads(result.stdout)["p"] == int(argv[argv.index("--p") + 1])
 
 
 class TestTable:
@@ -336,6 +343,11 @@ class TestAuxiliaryCommands:
         assert code == 0
         data = json.loads(out)
         jsonschema.validate(data["closed_form"], CLOSED_FORM_SCHEMA)
+
+    def test_faulhaber_accepts_p_above_identity_bound(self, capsys):
+        code, out = run(capsys, "faulhaber", "--p", str(cli.MAX_P + 1), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["p"] == cli.MAX_P + 1
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "identity.txt"

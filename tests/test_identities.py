@@ -206,6 +206,16 @@ class TestMemoizedTermBuilders:
             assert terms(k, m) is cf
             assert cf == terms.__wrapped__(k, m)
 
+    @pytest.mark.parametrize("terms", [identities._sum_f_terms, identities._sum_g_terms], ids=["f", "g"])
+    def test_cache_is_bounded(self, terms):
+        self.clear()
+        size = terms.cache_info().maxsize
+        assert size is not None
+        for m in range(size + 10):  # p = 0 keeps each build cheap
+            terms(0, m)
+        assert terms.cache_info().currsize == size
+        assert terms(0, size + 9) == terms.__wrapped__(0, size + 9)
+
 
 class TestCanonicalEquality:
     """Structural equality of canonical forms tracks pointwise equality.
