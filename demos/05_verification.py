@@ -1,37 +1,40 @@
 """Verification machinery: grids, summation by parts, serialization.
 
 Everything the constructors produce can be checked against independent
-brute force, cell by cell, with exact comparison. This script runs a
-medium grid, the summation-by-parts sweep, the two classical weighted
-corollaries, and a JSON round trip.
+brute force, cell by cell, with exact comparison. Every check is a sweep
+of exact rows (n, lhs, rhs). This script runs a medium grid, the
+summation-by-parts sweep, the two classical weighted corollaries, and a
+JSON round trip.
 """
 
 import time
 
 from harmonic_sums import (
     COROLLARY_START,
-    GridSpec,
     LinearArg,
     build_closed_form,
     corollary_rows,
+    grid_rows,
     parse_closed_form,
     render,
     sbp_rows,
     sum_f,
-    verify_grid,
 )
 
 print("Grid verification (closed forms vs. literal double sums):")
 offsets = tuple(LinearArg(a, b) for a in range(2) for b in range(2))
 start = time.perf_counter()
 for family in ("F", "G"):
-    spec = GridSpec(family, (0, 4), (1, 3), offsets, (0, 20))
-    report = verify_grid(spec, build_closed_form)
-    print(
-        f"  family {family}: {report.total} cells, {report.passed} passed, "
-        f"{report.failed} failed"
-    )
-    assert report.all_passed
+    rows = [
+        row
+        for p in range(5)
+        for m in range(1, 4)
+        for s in offsets
+        for row in grid_rows(family, p, m, s, build_closed_form(family, p, m, s), 20)
+    ]
+    passed = sum(row.passed for row in rows)
+    print(f"  family {family}: {len(rows)} cells, {passed} passed, {len(rows) - passed} failed")
+    assert passed == len(rows)
 print(f"  elapsed: {time.perf_counter() - start:.2f}s, all comparisons exact")
 print()
 

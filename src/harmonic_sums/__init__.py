@@ -30,14 +30,11 @@ from .catalog import CatalogEntry, catalog_entries
 from .oracle import (
     COROLLARY_START,
     CheckRow,
-    GridCell,
-    GridSpec,
-    VerificationReport,
     corollary_rows,
+    grid_rows,
     harmonic_direct,
     lhs_direct,
     sbp_rows,
-    verify_grid,
 )
 from .polynomial import PoleError, Polynomial, RationalFunction, faulhaber_poly
 from .render import (
@@ -55,14 +52,11 @@ __all__ = [
     "CheckRow",
     "ClosedForm",
     "DEFAULT_BASIS",
-    "GridCell",
-    "GridSpec",
     "HarmonicSymbol",
     "LinearArg",
     "PoleError",
     "Polynomial",
     "RationalFunction",
-    "VerificationReport",
     "bernoulli_plus",
     "binomial",
     "build_closed_form",
@@ -71,6 +65,7 @@ __all__ = [
     "corollary_rows",
     "evaluate_cf",
     "faulhaber_poly",
+    "grid_rows",
     "harmonic_direct",
     "harmonic_term",
     "harmonic_value",
@@ -86,7 +81,6 @@ __all__ = [
     "substitute_n",
     "sum_f",
     "sum_g",
-    "verify_grid",
 ]
 
 __version__ = "0.1.0"

@@ -24,17 +24,8 @@ from typing import Iterator, Sequence
 from .catalog import catalog_entries
 from .closed_form import ClosedForm, LinearArg
 from .exact import bernoulli_plus
-from .identities import build_closed_form, offset_sum_f, offset_sum_g
-from .oracle import (
-    COROLLARY_START,
-    CheckRow,
-    GridCell,
-    GridSpec,
-    VerificationReport,
-    corollary_rows,
-    sbp_rows,
-    verify_grid,
-)
+from .identities import build_closed_form
+from .oracle import COROLLARY_START, CheckRow, corollary_rows, grid_rows, sbp_rows
 from .polynomial import RationalFunction, faulhaber_poly
 from .render import (
     FORMATS,
@@ -192,8 +183,7 @@ def _identity_payload(family: str, p: int, m: int, s: LinearArg, cf: ClosedForm)
 
 def _cmd_identity(args: argparse.Namespace) -> int:
     s = LinearArg(args.offset_a, args.offset_b)
-    builder = offset_sum_f if args.family == "f" else offset_sum_g
-    cf = builder(args.p, args.m, s)
+    cf = build_closed_form(args.family, args.p, args.m, s)
     if args.format == "json":
         text = json.dumps(_identity_payload(args.family, args.p, args.m, s, cf), indent=2)
     else:
@@ -227,7 +217,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_spec(args: argparse.Namespace) -> list[GridSpec]:
+def _verify_grids(args: argparse.Namespace) -> list[dict]:
+    """The grids a `verify` run sweeps, one per family, keyed as its JSON report."""
     filtered = any(
         getattr(args, name) is not None
         for name in ("family", "p", "m", "offset_a", "offset_b", "n_max")
@@ -245,62 +236,67 @@ def _verify_spec(args: argparse.Namespace) -> list[GridSpec]:
         offsets = DEFAULT_GRID["offsets"]
     families = ("F", "G") if args.family in (None, "both") else (args.family.upper(),)
     return [
-        GridSpec(family, p_range, m_range, offsets, (0, n_max)) for family in families
+        {
+            "family": family,
+            "p_range": p_range,
+            "m_range": m_range,
+            "offsets": offsets,
+            "n_range": (0, n_max),
+        }
+        for family in families
     ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = [(spec, verify_grid(spec, build_closed_form)) for spec in _verify_spec(args)]
-    all_ok = all(report.all_passed for _, report in reports)
+    """Stream every row of every grid, counting cells and keeping only the failures."""
+    lines: list[str] = []
+    reports: list[dict] = []
+    for grid in _verify_grids(args):
+        family, offsets, n_max = grid["family"], grid["offsets"], grid["n_range"][1]
+        (p_lo, p_hi), (m_lo, m_hi) = grid["p_range"], grid["m_range"]
+        total = 0
+        failures: list[tuple[int, int, LinearArg, CheckRow]] = []
+        for p in range(p_lo, p_hi + 1):
+            for m in range(m_lo, m_hi + 1):
+                for s in offsets:
+                    cf = build_closed_form(family, p, m, s)
+                    for row in grid_rows(family, p, m, s, cf, n_max):
+                        total += 1
+                        if not row.passed:
+                            failures.append((p, m, s, row))
+        lines.append(
+            f"family {family}: p in {p_lo}..{p_hi}, m in {m_lo}..{m_hi}, "
+            f"s in {{{', '.join(str(s) for s in offsets)}}}, n in 0..{n_max}: "
+            f"{total} cells, {total - len(failures)} passed, {len(failures)} failed"
+        )
+        lines.extend(
+            f"  FAIL {family}(p={p}, m={m}, s={s}) at n={row.n}: "
+            f"direct sum {row.lhs} != closed form {row.rhs}"
+            for p, m, s, row in failures
+        )
+        reports.append(
+            {
+                **grid,
+                "offsets": [{"a": s.a, "b": s.b} for s in offsets],
+                "total": total,
+                "passed": total - len(failures),
+                "failed": len(failures),
+                "failures": [
+                    {"p": p, "m": m, "offset": {"a": s.a, "b": s.b}, **_failure_json(row)}
+                    for p, m, s, row in failures
+                ],
+            }
+        )
+    all_ok = not any(report["failed"] for report in reports)
     if args.format == "json":
-        payload = {
-            "all_passed": all_ok,
-            "grids": [_report_payload(spec, report) for spec, report in reports],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(json.dumps({"all_passed": all_ok, "grids": reports}, indent=2), args.output)
     else:
-        lines = []
-        for spec, report in reports:
-            offsets = ", ".join(str(s) for s in spec.offsets)
-            lines.append(
-                f"family {spec.family}: p in {spec.p_range[0]}..{spec.p_range[1]}, "
-                f"m in {spec.m_range[0]}..{spec.m_range[1]}, s in {{{offsets}}}, "
-                f"n in {spec.n_range[0]}..{spec.n_range[1]}: "
-                f"{report.total} cells, {report.passed} passed, {report.failed} failed"
-            )
-            for cell in report.failures():
-                lines.append(
-                    f"  FAIL {cell.family}(p={cell.p}, m={cell.m}, s={cell.s}) at "
-                    f"n={cell.n}: direct sum {cell.lhs} != closed form {cell.rhs}"
-                )
         lines.append("all identities verified" if all_ok else "verification FAILED")
         _emit("\n".join(lines), args.output)
     return 0 if all_ok else 1
 
 
-def _report_payload(spec: GridSpec, report: VerificationReport) -> dict:
-    return {
-        "family": spec.family,
-        "p_range": list(spec.p_range),
-        "m_range": list(spec.m_range),
-        "offsets": [{"a": s.a, "b": s.b} for s in spec.offsets],
-        "n_range": list(spec.n_range),
-        "total": report.total,
-        "passed": report.passed,
-        "failed": report.failed,
-        "failures": [
-            {
-                "p": cell.p,
-                "m": cell.m,
-                "offset": {"a": cell.s.a, "b": cell.s.b},
-                **_failure_json(cell),
-            }
-            for cell in report.failures()
-        ],
-    }
-
-
-def _failure_json(row: GridCell | CheckRow) -> dict:
+def _failure_json(row: CheckRow) -> dict:
     return {"n": row.n, "lhs": fraction_to_json(row.lhs), "rhs": fraction_to_json(row.rhs)}
 
 

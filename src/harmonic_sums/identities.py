@@ -124,6 +124,8 @@ def offset_sum_f(
     total = ClosedForm.zero()
     s_power = Polynomial((1,))  # s**0, honoring 0**0 = 1 when s = 0
     for k in range(p + 1):
+        if s_power.is_zero:
+            break  # s = 0: every later term carries the factor s**k = 0
         plain = _sum_f_terms(p - k, m)
         upper = substitute_n(plain, LinearArg(s.a + 1, s.b))
         if s.a == 0 and s.b == 0:

@@ -2,11 +2,12 @@
 
 The evaluators here compute harmonic numbers and the weighted double sums
 literally, term by term, sharing no code with the closed-form
-constructors (no Bernoulli numbers, no power-sum polynomials). Grid
-verification receives the closed forms to check as an argument, so the
-dependency arrow points strictly from the constructors to this module and
-never back. The summation-by-parts and corollary sweeps check those
-identities the same way, one exact row per n.
+constructors (no Bernoulli numbers, no power-sum polynomials). Every
+check is a sweep that yields one exact ``CheckRow`` per n: ``grid_rows``
+for a constructed closed form, ``sbp_rows`` and ``corollary_rows`` for
+the summation-by-parts and corollary identities. ``grid_rows`` receives
+the closed form under test as an argument, so the dependency arrow points
+strictly from the constructors to this module and never back.
 
 Comparison is always exact; there is no tolerance anywhere.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .closed_form import ClosedForm, LinearArg, evaluate_cf
 from .exact import int_pow
@@ -24,14 +25,11 @@ from .exact import int_pow
 __all__ = [
     "COROLLARY_START",
     "CheckRow",
-    "GridCell",
-    "GridSpec",
-    "VerificationReport",
     "corollary_rows",
+    "grid_rows",
     "harmonic_direct",
     "lhs_direct",
     "sbp_rows",
-    "verify_grid",
 ]
 
 # Per-run memo of harmonic prefix sums, keyed by (offset, order). Entries
@@ -92,6 +90,18 @@ class CheckRow:
         return self.lhs == self.rhs
 
 
+def grid_rows(
+    family: str, p: int, m: int, s: LinearArg, cf: ClosedForm, n_max: int
+) -> Iterator[CheckRow]:
+    """Check the closed form ``cf`` of one (family, p, m, s) sum against ``lhs_direct``.
+
+    Yields one row for each n = 0..n_max; a failing row is yielded, never
+    raised. The offset s = a*n+b moves with n, so every row sums afresh.
+    """
+    for n in range(n_max + 1):
+        yield CheckRow(n, lhs_direct(family, p, m, s, n), evaluate_cf(cf, n))
+
+
 def sbp_rows(m: int, w: int, n_max: int) -> Iterator[CheckRow]:
     """Check sum_{k=0}^n [(k+1)**w - k**w] H_k^(m) == (n+1)**w H_n^(m) - H_n^(m-w).
 
@@ -133,104 +143,3 @@ def corollary_rows(which: str, n_max: int) -> Iterator[CheckRow]:
         lhs += harmonic_direct(0, n, 1) / top
         h = harmonic_direct(0, top, 1)
         yield CheckRow(n, lhs, (h * h + sign * harmonic_direct(0, top, 2)) / 2)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A rectangle of (p, m, offset, n) cells for one sum family."""
-
-    family: str
-    p_range: tuple[int, int]
-    m_range: tuple[int, int]
-    offsets: tuple[LinearArg, ...]
-    n_range: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("p_range", self.p_range),
-            ("m_range", self.m_range),
-            ("n_range", self.n_range),
-        ):
-            if lo > hi:
-                raise ValueError(f"empty {name}: {lo}..{hi}")
-        if not self.offsets:
-            raise ValueError("at least one offset is required")
-        if self.n_range[0] < 0:
-            raise ValueError("n_range must start at 0 or above")
-
-    def cell_count(self) -> int:
-        spans = [
-            self.p_range[1] - self.p_range[0] + 1,
-            self.m_range[1] - self.m_range[0] + 1,
-            len(self.offsets),
-            self.n_range[1] - self.n_range[0] + 1,
-        ]
-        total = 1
-        for s in spans:
-            total *= s
-        return total
-
-
-@dataclass(frozen=True)
-class GridCell:
-    family: str
-    p: int
-    m: int
-    s: LinearArg
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-@dataclass
-class VerificationReport:
-    """All grid cells with their exact pass/fail outcomes."""
-
-    cells: list[GridCell]
-
-    @property
-    def total(self) -> int:
-        return len(self.cells)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for cell in self.cells if cell.passed)
-
-    @property
-    def failed(self) -> int:
-        return self.total - self.passed
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-    def failures(self) -> list[GridCell]:
-        return [cell for cell in self.cells if not cell.passed]
-
-
-Builder = Callable[[str, int, int, LinearArg], ClosedForm]
-
-
-def verify_grid(spec: GridSpec, build: Builder) -> VerificationReport:
-    """Compare the literal sums against a builder's closed forms, cell by cell.
-
-    ``build(family, p, m, s)`` supplies the closed form under test;
-    failures are recorded in the report, never raised.
-    """
-    cells: list[GridCell] = []
-    p_lo, p_hi = spec.p_range
-    m_lo, m_hi = spec.m_range
-    n_lo, n_hi = spec.n_range
-    for p in range(p_lo, p_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            for s in spec.offsets:
-                cf = build(spec.family, p, m, s)
-                for n in range(n_lo, n_hi + 1):
-                    lhs = lhs_direct(spec.family, p, m, s, n)
-                    rhs = evaluate_cf(cf, n)
-                    cells.append(GridCell(spec.family, p, m, s, n, lhs, rhs))
-    return VerificationReport(cells)

@@ -5,15 +5,16 @@ Each criterion prints one PASS/FAIL line; run with ``pytest -s
 tests/test_acceptance.py`` to see them as they execute.
 """
 
+import io
+import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import known_identities as known
 from harmonic_sums import (
-    GridSpec,
     LinearArg,
-    build_closed_form,
+    cli,
     corollary_rows,
     evaluate_cf,
     faulhaber_poly,
@@ -23,7 +24,6 @@ from harmonic_sums import (
     sbp_rows,
     sum_f,
     sum_g,
-    verify_grid,
 )
 import test_properties as props
 
@@ -81,16 +81,18 @@ def test_05_offset_reversed_catalog():
 
 
 def test_06_oracle_grid():
-    offsets = tuple(LinearArg(a, b) for a in range(3) for b in range(3))
     with criterion(6, "brute-force grid, both families, ~25830 cells, < 60 s"):
         start = time.perf_counter()
-        total = 0
-        for family in ("F", "G"):
-            spec = GridSpec(family, (0, 6), (1, 5), offsets, (0, 40))
-            report = verify_grid(spec, build_closed_form)
-            assert report.all_passed, report.failures()[:3]
-            total += report.total
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["verify", "--format", "json"])
         elapsed = time.perf_counter() - start
+        report = json.loads(out.getvalue())
+        assert code == 0
+        assert report["all_passed"], [grid["failures"][:3] for grid in report["grids"]]
+        assert [grid["family"] for grid in report["grids"]] == ["F", "G"]
+        total = sum(grid["total"] for grid in report["grids"])
+        assert total == sum(grid["passed"] for grid in report["grids"])
         assert total == 2 * 7 * 5 * 9 * 41 == 25830
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
 

@@ -10,7 +10,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from harmonic_sums import CLOSED_FORM_SCHEMA, ClosedForm, cli, parse_closed_form, sum_f
+from harmonic_sums import (
+    CLOSED_FORM_SCHEMA,
+    ClosedForm,
+    Polynomial,
+    RationalFunction,
+    cli,
+    parse_closed_form,
+    sum_f,
+)
 from harmonic_sums.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -133,19 +141,23 @@ class TestVerify:
         # the argument glue that a bare `verify` expands to it
         import argparse
 
-        from harmonic_sums.cli import DEFAULT_GRID, _verify_spec
+        from harmonic_sums.cli import DEFAULT_GRID, _verify_grids
 
         args = argparse.Namespace(
             family=None, p=None, m=None, offset_a=None, offset_b=None, n_max=None
         )
-        specs = _verify_spec(args)
-        assert [spec.family for spec in specs] == ["F", "G"]
-        for spec in specs:
-            assert spec.p_range == DEFAULT_GRID["p"]
-            assert spec.m_range == DEFAULT_GRID["m"]
-            assert spec.offsets == DEFAULT_GRID["offsets"]
-            assert spec.n_range == (0, DEFAULT_GRID["n_max"])
-            assert spec.cell_count() == 7 * 5 * 9 * 41
+        assert _verify_grids(args) == [
+            {
+                "family": family,
+                "p_range": DEFAULT_GRID["p"],
+                "m_range": DEFAULT_GRID["m"],
+                "offsets": DEFAULT_GRID["offsets"],
+                "n_range": (0, DEFAULT_GRID["n_max"]),
+            }
+            for family in ("F", "G")
+        ]
+        assert DEFAULT_GRID["p"] == (0, 6) and DEFAULT_GRID["m"] == (1, 5)
+        assert len(DEFAULT_GRID["offsets"]) == 9 and DEFAULT_GRID["n_max"] == 40
 
     def test_single_row(self, capsys):
         code, out = run(
@@ -219,6 +231,52 @@ class TestVerify:
         data = json.loads(out)
         failure = data["grids"][0]["failures"][0]
         assert {"p", "m", "offset", "n", "lhs", "rhs"} <= set(failure)
+
+    def test_partly_corrupted_grids_count_and_list_failures(self, capsys, monkeypatch):
+        """Negative control over two grids: only family G is off, by (n-1)(n-3)."""
+        build = cli.build_closed_form
+        bump = RationalFunction(Polynomial((3, -4, 1)))
+
+        def corrupt(family, p, m, s):
+            cf = build(family, p, m, s)
+            return ClosedForm(cf.constant + bump, cf.terms) if family == "G" else cf
+
+        monkeypatch.setattr(cli, "build_closed_form", corrupt)
+        argv = (
+            "verify", "--family", "both", "--p", "1", "--m", "1",
+            "--offset-a", "1", "--n-max", "4",
+        )  # fmt: skip
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == [
+            "family F: p in 1..1, m in 1..1, s in {n}, n in 0..4: 5 cells, 5 passed, 0 failed",
+            "family G: p in 1..1, m in 1..1, s in {n}, n in 0..4: 5 cells, 2 passed, 3 failed",
+            "  FAIL G(p=1, m=1, s=n) at n=0: direct sum 0 != closed form 3",
+            "  FAIL G(p=1, m=1, s=n) at n=2: direct sum 29/6 != closed form 23/6",
+            "  FAIL G(p=1, m=1, s=n) at n=4: direct sum 2381/105 != closed form 2696/105",
+            "verification FAILED",
+        ]
+
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["all_passed"] is False
+        f, g = data["grids"]
+        assert (f["family"], f["total"], f["passed"], f["failed"], f["failures"]) == (
+            "F", 5, 5, 0, []
+        )
+        assert (g["family"], g["total"], g["passed"], g["failed"]) == ("G", 5, 2, 3)
+        cell = {"p": 1, "m": 1, "offset": {"a": 1, "b": 0}}
+        assert g["failures"] == [
+            {**cell, "n": 0, "lhs": {"num": "0", "den": "1"}, "rhs": {"num": "3", "den": "1"}},
+            {**cell, "n": 2, "lhs": {"num": "29", "den": "6"}, "rhs": {"num": "23", "den": "6"}},
+            {
+                **cell,
+                "n": 4,
+                "lhs": {"num": "2381", "den": "105"},
+                "rhs": {"num": "2696", "den": "105"},
+            },
+        ]
 
 
 class TestCheck:

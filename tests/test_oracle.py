@@ -9,13 +9,12 @@ import pytest
 from harmonic_sums import closed_form, oracle
 from harmonic_sums import (
     ClosedForm,
-    GridSpec,
     LinearArg,
     build_closed_form,
+    grid_rows,
     harmonic_direct,
     int_pow,
     lhs_direct,
-    verify_grid,
 )
 
 S0 = LinearArg(0, 0)
@@ -113,28 +112,23 @@ class TestLhsDirect:
 
 class TestVerifyGrid:
     def test_small_grid_passes(self):
-        spec = GridSpec("F", (0, 2), (1, 2), (S0, LinearArg(1, 0)), (0, 10))
-        report = verify_grid(spec, build_closed_form)
-        assert report.total == spec.cell_count() == 3 * 2 * 2 * 11
-        assert report.all_passed
-        assert report.failures() == []
+        rows = [
+            (p, m, s, row)
+            for p in range(3)
+            for m in (1, 2)
+            for s in (S0, LinearArg(1, 0))
+            for row in grid_rows("F", p, m, s, build_closed_form("F", p, m, s), 10)
+        ]
+        assert len(rows) == 3 * 2 * 2 * 11
+        assert all(row.passed for *_, row in rows)
+        assert [row.n for *_, row in rows] == list(range(11)) * 12
+        for p, m, s, row in rows:
+            assert row.lhs == lhs_direct("F", p, m, s, row.n)
 
     def test_corrupted_form_is_caught(self):
-        def corrupt(family, p, m, s):
-            cf = build_closed_form(family, p, m, s)
-            return ClosedForm(cf.constant + 1, cf.terms)
-
-        spec = GridSpec("G", (1, 1), (1, 1), (S0,), (0, 5))
-        report = verify_grid(spec, corrupt)
-        assert not report.all_passed
-        assert report.failed == 6
-        cell = report.failures()[0]
-        assert cell.rhs - cell.lhs == 1
-
-    def test_empty_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            GridSpec("F", (2, 1), (1, 1), (S0,), (0, 5))
-        with pytest.raises(ValueError):
-            GridSpec("F", (0, 1), (1, 1), (), (0, 5))
-        with pytest.raises(ValueError):
-            GridSpec("F", (0, 1), (1, 1), (S0,), (-1, 5))
+        cf = build_closed_form("G", 1, 1, S0)
+        corrupt = ClosedForm(cf.constant + 1, cf.terms)
+        rows = list(grid_rows("G", 1, 1, S0, corrupt, 5))
+        assert [row.n for row in rows] == list(range(6))
+        assert not any(row.passed for row in rows)
+        assert all(row.rhs - row.lhs == 1 for row in rows)
