@@ -37,11 +37,13 @@ from .render import (
 )
 
 # Hard bounds on user-supplied parameters, enforced before dispatch.
-# MAX_P bounds --p of `identity` and `verify`, which build closed forms: the
-# slowest accepted identity (family g, s = 10n+10, m = -10) takes about
-# 4.5 s on a 2-core machine, within a 10 s budget. `faulhaber` builds one
-# power-sum polynomial only; at MAX_FAULHABER_P it takes about 3 s.
+# MAX_P and MAX_M bound --p and --m of `identity` and `verify`, which build
+# closed forms: at p = MAX_P the slowest accepted identities (family g, at
+# m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take about 4.5 s on a 2-core
+# machine, within a 10 s budget. `faulhaber` builds one power-sum
+# polynomial only; at MAX_FAULHABER_P it takes about 3 s.
 MAX_ORDER_BELOW = -10
+MAX_M = 40
 MAX_OFFSET = 10
 MAX_P = 80
 MAX_FAULHABER_P = 640
@@ -144,23 +146,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    def bail(message: str) -> None:
-        parser.error(message)  # exits with status 2
-
-    if getattr(args, "p", None) is not None:
-        p_max = MAX_FAULHABER_P if args.command == "faulhaber" else MAX_P
-        if not (0 <= args.p <= p_max):
-            bail(f"--p must be in [0, {p_max}], got {args.p}")
-    if getattr(args, "m", None) is not None and args.m < MAX_ORDER_BELOW:
-        bail(f"--m must be >= {MAX_ORDER_BELOW}, got {args.m}")
-    for name in ("offset_a", "offset_b"):
+    """Exit 2 on a parameter out of bounds; `check --m`, a sweep order, has no upper one."""
+    bounds = {
+        "p": (0, MAX_FAULHABER_P if args.command == "faulhaber" else MAX_P),
+        "m": (MAX_ORDER_BELOW, float("inf") if args.command == "check" else MAX_M),
+        "offset_a": (0, MAX_OFFSET),
+        "offset_b": (0, MAX_OFFSET),
+        "n_max": (0, MAX_N),
+    }
+    for name, (low, high) in bounds.items():
         value = getattr(args, name, None)
-        if value is not None and not (0 <= value <= MAX_OFFSET):
-            flag = "--" + name.replace("_", "-")
-            bail(f"{flag} must be in [0, {MAX_OFFSET}], got {value}")
-    n_max = getattr(args, "n_max", None)
-    if n_max is not None and not (0 <= n_max <= MAX_N):
-        bail(f"--n-max must be in [0, {MAX_N}], got {n_max}")
+        if value is not None and not (low <= value <= high):
+            parser.error(f"--{name.replace('_', '-')} must be in [{low}, {high}], got {value}")
 
 
 def _emit(text: str, output: str | None) -> None:

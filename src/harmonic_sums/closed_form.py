@@ -268,7 +268,9 @@ def shift_basis(
         up = sym.arg.shifted(1)
         if sym.arg not in targets and up in targets:
             terms.append((HarmonicSymbol(up, sym.order), coeff))
-            constant = constant - coeff * RationalFunction(1, up.as_poly() ** sym.order)
+            # 1/(a*n + b)**m == a**-m / (n + b/a)**m: the pole is known, not searched for
+            root, order = Fraction(-up.b, up.a), sym.order
+            constant -= coeff * RationalFunction.from_poles(Fraction(1, up.a**order), [(root, order)])
         else:
             terms.append((sym, coeff))
     return ClosedForm(constant, terms)

@@ -2,14 +2,14 @@
 
 The variable is always the summation limit n. Polynomials are stored as a
 tuple of coefficients indexed by degree with no trailing zeros, so equal
-polynomials are structurally equal. Rational functions are kept fully
-reduced with a monic denominator for the same reason.
+polynomials are structurally equal. Rational functions keep their
+denominator factored as poles and are reduced for the same reason.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .exact import bernoulli_plus, binomial
@@ -17,11 +17,18 @@ from .exact import bernoulli_plus, binomial
 __all__ = [
     "PoleError",
     "Polynomial",
+    "ROOT_BOUND",
     "RationalFunction",
     "faulhaber_poly",
+    "linear_factors",
 ]
 
 Scalar = Union[int, Fraction]
+Pole = tuple[Fraction, int]  # (r, e): the factor (n - r)**e of a denominator
+
+# The package's only root search, which splits denominators given expanded
+# and factors for display, finds the zeros p/q with |p|, q <= ROOT_BOUND.
+ROOT_BOUND = 1000
 
 
 class PoleError(ZeroDivisionError):
@@ -147,44 +154,28 @@ class Polynomial:
             return RationalFunction(self, other)
         return NotImplemented
 
-    def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Euclidean division over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = self.degree, other.degree
-        if dd < dv:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dd - dv + 1)
-        lead = other.leading
-        for shift in range(dd - dv, -1, -1):
-            c = rem[shift + dv] / lead
-            quot[shift] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[shift + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem)
-
-    def __mod__(self, other: Polynomial) -> Polynomial:
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: Polynomial) -> Polynomial:
-        quot, rem = self.divmod(other)
-        if not rem.is_zero:
-            raise ValueError("exact_div: division is not exact")
-        return quot
-
-    def monic(self) -> Polynomial:
-        if self.is_zero:
-            return self
-        return self * (1 / self.leading)
-
     def _integer_form(self) -> tuple[list[int], int]:
         """Integer numerators over the common denominator D: coeffs[i] == nums[i] / D."""
         den = 1  # a running lcm; lcm(*genexpr) first unpacks every denominator
         for c in self.coeffs:
             den = lcm(den, c.denominator)
         return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
+    def divide_linear(self, root: Fraction) -> Polynomial | None:
+        """self / (n - root) if root is a zero of the nonzero self, else None.
+        Integer synthetic division by q*n - p for root = p/q: by Gauss's lemma an
+        exact quotient is integral, so an inexact step shows root is no zero."""
+        nums, den = self._integer_form()
+        p, q = root.numerator, root.denominator
+        quot, carry = [], 0
+        for c in reversed(nums[1:]):
+            carry, rem = divmod(c + p * carry, q)
+            if rem:
+                return None
+            quot.append(carry)
+        if nums[0] + p * carry:
+            return None
+        return Polynomial(Fraction(q * c, den) for c in reversed(quot))
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x = p/q by integer Horner with one final division.
@@ -234,52 +225,112 @@ def _as_poly(value: Polynomial | Scalar) -> Polynomial:
     return Polynomial((value,))
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (Euclidean algorithm)."""
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+def linear_factors(poly: Polynomial) -> tuple[list[Pole], Polynomial]:
+    """The zeros r = p/q of a nonzero poly with |p|, q <= ROOT_BOUND, each with
+    its multiplicity e, and the cofactor c: poly == c * prod (n - r)**e."""
+    roots: list[Pole] = []
+    while poly.degree >= 1 and (root := _rational_root(poly)) is not None:
+        count = 0
+        while (quot := poly.divide_linear(root)) is not None:
+            poly, count = quot, count + 1
+        roots.append((root, count))
+    return roots, poly
+
+
+def _rational_root(poly: Polynomial) -> Fraction | None:
+    """A zero p/q of poly with |p|, q <= ROOT_BOUND, or None. By Gauss's lemma
+    q*n - p then divides the primitive integer form P, so q - p divides P(1)
+    and q + p divides P(-1): integer tests that discard most candidates."""
+    if not poly.coeffs[0]:
+        return Fraction(0)
+    nums, _ = poly._integer_form()
+    content = gcd(*nums)
+    nums = [c // content for c in nums]
+    at_one, at_minus_one = sum(nums), sum(nums[::2]) - sum(nums[1::2])
+    for p in _divisors(nums[0]):
+        for q in _divisors(nums[-1]):
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                if (
+                    _divides(q - num, at_one)
+                    and _divides(q + num, at_minus_one)
+                    and not poly.evaluate(Fraction(num, q))
+                ):
+                    return Fraction(num, q)
+    return None
+
+
+def _divides(d: int, n: int) -> bool:
+    return n % d == 0 if d else n == 0
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, min(abs(n), ROOT_BOUND) + 1) if n % d == 0]
+
+
+_ONE = Polynomial((1,))
+
+
+def _expand(poles: Iterable[Pole]) -> Polynomial:
+    """The monic polynomial prod (n - r)**e."""
+    out = _ONE
+    for r, e in poles:
+        out = out * Polynomial.linear(1, -r) ** e
+    return out
+
+
+def _cancel(num: Polynomial, poles: Iterable[Pole]) -> tuple[Polynomial, tuple[Pole, ...]]:
+    """Divide every zero num shares with the poles out of both."""
+    if num.is_zero:
+        return num, ()
+    kept = []
+    for r, e in sorted(poles):
+        while e and (quot := num.divide_linear(r)) is not None:
+            num, e = quot, e - 1
+        if e:
+            kept.append((r, e))
+    return num, tuple(kept)
 
 
 class RationalFunction:
-    """Quotient of two polynomials in n, in canonical form.
+    """num / prod (n - r)**e over the sorted poles ((r, e), ...), e >= 1.
 
-    Canonical means: denominator nonzero and monic, gcd(num, den) = 1,
-    and zero is 0/1. Equality is structural equality of the pair.
+    Canonical means the numerator vanishes at no pole (zero has none), so
+    equality is structural. The algebra computes the poles it creates; only
+    a denominator given expanded, as ``den`` here, goes through the root
+    search, and one that does not split within ROOT_BOUND raises ValueError.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "poles")
 
-    def __init__(
-        self,
-        num: Polynomial | Scalar,
-        den: Polynomial | Scalar = 1,
-    ) -> None:
-        num = _as_poly(num)
+    def __init__(self, num: Polynomial | Scalar, den: Polynomial | Scalar = 1) -> None:
         den = _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Polynomial(), Polynomial((1,))
-        elif den.degree == 0:  # coprime already: only the scale needs fixing
-            lead = den.coeffs[0]
-            if lead != 1:
-                num, den = num / lead, Polynomial((1,))
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
-        self.num = num
-        self.den = den
+        roots, scale = linear_factors(den)
+        if scale.degree > 0:
+            raise ValueError(f"denominator {den!r} does not split within ROOT_BOUND = {ROOT_BOUND}")
+        num = _as_poly(num)
+        if scale.coeffs[0] != 1:
+            num = num / scale.coeffs[0]
+        self.num, self.poles = _cancel(num, roots)
+
+    @classmethod
+    def from_poles(cls, num: Polynomial | Scalar, poles: Iterable[Pole]) -> RationalFunction:
+        """num / prod (n - r)**e, for distinct roots r and exponents e >= 1."""
+        rf = cls.__new__(cls)
+        rf.num, rf.poles = _cancel(_as_poly(num), poles)
+        return rf
+
+    @property
+    def den(self) -> Polynomial:
+        """The monic denominator, expanded."""
+        return _expand(self.poles)
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == Polynomial((1,))
+        return not self.poles
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
@@ -298,23 +349,25 @@ class RationalFunction:
             other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.poles == other.poles
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num, self.poles))
 
     def __add__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         other = _as_rf(other)
-        if self.den == other.den:  # mostly both 1: no cross products
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if self.poles == other.poles:  # mostly both empty: no cross products
+            return RationalFunction.from_poles(self.num + other.num, self.poles)
+        mine, theirs = dict(self.poles), dict(other.poles)
+        poles = {r: max(mine.get(r, 0), theirs.get(r, 0)) for r in mine | theirs}
+        num = self.num * _expand((r, e - mine.get(r, 0)) for r, e in poles.items())
+        num += other.num * _expand((r, e - theirs.get(r, 0)) for r, e in poles.items())
+        return RationalFunction.from_poles(num, poles.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction.from_poles(-self.num, self.poles)
 
     def __sub__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         return self + (-_as_rf(other))
@@ -324,7 +377,10 @@ class RationalFunction:
 
     def __mul__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         other = _as_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        poles = dict(self.poles)
+        for r, e in other.poles:
+            poles[r] = poles.get(r, 0) + e
+        return RationalFunction.from_poles(self.num * other.num, poles.items())
 
     __rmul__ = __mul__
 
@@ -332,23 +388,28 @@ class RationalFunction:
         other = _as_rf(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * RationalFunction(other.den, other.num)
 
     def __rtruediv__(self, other: Polynomial | Scalar) -> RationalFunction:
         return _as_rf(other) / self
 
     def evaluate(self, x: Scalar) -> Fraction:
-        d = self.den.evaluate(x)
-        if not d:
-            raise PoleError(f"pole at n = {x}")
-        return self.num.evaluate(x) / d
+        value = self.num.evaluate(x)
+        for r, e in self.poles:
+            if x == r:
+                raise PoleError(f"pole at n = {x}")
+            value /= (x - r) ** e
+        return value
 
     def compose_linear(self, a: int, b: int) -> RationalFunction:
+        """self(a*n + b). A pole r moves to (r - b)/a, since
+        a*n + b - r == a * (n - (r - b)/a); a = 0 folds to the value at b."""
+        if a == 0:
+            return RationalFunction(self.evaluate(b))
         num = self.num.compose_linear(a, b)
-        den = self.den.compose_linear(a, b)
-        if den.is_zero:
-            raise PoleError(f"substitution n -> {a}n+{b} hits a pole")
-        return RationalFunction(num, den)
+        if self.poles:
+            num = num / a ** sum(e for _, e in self.poles)
+        return RationalFunction.from_poles(num, [((r - b) / a, e) for r, e in self.poles])
 
     def __repr__(self) -> str:
         from .render import rational_function_text

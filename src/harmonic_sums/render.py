@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .closed_form import ClosedForm, HarmonicSymbol, LinearArg
-from .polynomial import Polynomial, RationalFunction, faulhaber_poly
+from .polynomial import Polynomial, RationalFunction, faulhaber_poly, linear_factors
 
 __all__ = [
     "CLOSED_FORM_SCHEMA",
@@ -30,12 +30,6 @@ __all__ = [
 
 FORMATS = ("text", "latex", "json")
 
-# Display factoring splits off linear factors q*n - p with |p|, q at most
-# this bound. It keeps the root search bounded however large the
-# coefficients are; a root beyond it only leaves its factor unsplit.
-ROOT_BOUND = 1000
-
-
 # ---------------------------------------------------------------------------
 # display factoring
 
@@ -45,77 +39,23 @@ def factor_for_display(
 ) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     """Split a polynomial into content * product of integer-primitive factors.
 
-    Pulls out powers of n and every linear factor q*n - p with |p|, q at
-    most ROOT_BOUND; whatever remains stays as one factor. The product of
-    the returned parts is exactly the input.
+    Pulls out every linear factor q*n - p, powers of n included, with
+    |p|, q <= polynomial.ROOT_BOUND; the rest stays one factor. The
+    product of the returned parts is exactly the input.
     """
     if poly.is_zero:
         return Fraction(0), []
-    numerators = gcd(*(c.numerator for c in poly.coeffs if c))
-    denominators = lcm(*(c.denominator for c in poly.coeffs if c))
-    content = Fraction(numerators, denominators)
-    if poly.leading < 0:
+    roots, rest = linear_factors(poly)
+    numerators = gcd(*(c.numerator for c in rest.coeffs))
+    content = Fraction(numerators, lcm(*(c.denominator for c in rest.coeffs)))
+    if rest.leading < 0:
         content = -content
-    primitive = poly * (1 / content)
-    if primitive.degree == 0:
-        return content * primitive.coeffs[0], []
-
-    factors: list[tuple[Polynomial, int]] = []
-    low_zeros = 0
-    while not primitive.coeffs[low_zeros]:
-        low_zeros += 1
-    if low_zeros:
-        factors.append((Polynomial.variable(), low_zeros))
-        primitive = Polynomial(primitive.coeffs[low_zeros:])
-
-    while primitive.degree >= 1:
-        root = _rational_root(primitive)
-        if root is None:
-            break
-        factor = Polynomial.linear(root.denominator, -root.numerator)
-        count = 0
-        while True:
-            quot, rem = primitive.divmod(factor)
-            if not rem.is_zero:
-                break
-            primitive = quot
-            count += 1
-        factors.append((factor, count))
-    if primitive.degree >= 1:
-        factors.append((primitive, 1))
-        primitive = Polynomial.constant(1)
+    factors = [(rest / content, 1)] if rest.degree >= 1 else []
+    for root, mult in roots:  # n - p/q == (q*n - p) / q
+        factors.append((Polynomial.linear(root.denominator, -root.numerator), mult))
+        content /= root.denominator**mult
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].leading, fm[0].coeffs))
-    return content * primitive.coeffs[0], factors
-
-
-def _rational_root(poly: Polynomial) -> Fraction | None:
-    """A root p/q of the integer polynomial with |p|, q <= ROOT_BOUND, or None.
-
-    By Gauss's lemma a root p/q in lowest terms makes q*n - p an integer
-    factor, so q - p divides P(1) and q + p divides P(-1). Those integer
-    tests discard most candidates before the exact evaluation.
-    """
-    at_one, at_minus_one = int(poly.evaluate(1)), int(poly.evaluate(-1))
-    for p in _divisors(poly.coeffs[0].numerator):
-        for q in _divisors(poly.leading.numerator):
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                if (
-                    _divides(q - num, at_one)
-                    and _divides(q + num, at_minus_one)
-                    and not poly.evaluate(Fraction(num, q))
-                ):
-                    return Fraction(num, q)
-    return None
-
-
-def _divides(d: int, n: int) -> bool:
-    return n % d == 0 if d else n == 0
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, min(abs(n), ROOT_BOUND) + 1) if n % d == 0]
+    return content, factors
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +190,7 @@ def _signed_piece(rf: RationalFunction, latex: bool) -> tuple[int, str]:
     if rf.is_zero:
         return 1, "0"
     sign = -1 if rf.num.leading < 0 else 1
-    return sign, rational_function_text(RationalFunction(rf.num * sign, rf.den), latex)
+    return sign, rational_function_text(rf * sign, latex)
 
 
 def render(cf: ClosedForm, fmt: str = "text") -> str:

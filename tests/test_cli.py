@@ -71,6 +71,8 @@ class TestIdentity:
             ("identity", "--family", "g", "--p", str(cli.MAX_P + 1), "--m", "1"),
             ("faulhaber", "--p", str(cli.MAX_FAULHABER_P + 1)),
             ("verify", "--p", str(cli.MAX_P + 1)),
+            ("identity", "--family", "f", "--p", "1", "--m", str(cli.MAX_M + 1)),
+            ("verify", "--m", str(cli.MAX_M + 1)),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -86,8 +88,11 @@ class TestIdentity:
             ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", "-10",
              "--offset-a", "10", "--offset-b", "10", "--format", "json"],
             ["faulhaber", "--p", str(cli.MAX_FAULHABER_P), "--format", "json"],
+            # the largest accepted order at p = MAX_P, offset 10n+9 (b != a)
+            ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", str(cli.MAX_M),
+             "--offset-a", "10", "--offset-b", "9", "--format", "json"],
         ],
-        ids=["identity", "faulhaber"],
+        ids=["identity", "faulhaber", "identity-max-m"],
     )  # fmt: skip
     def test_largest_accepted_p_finishes(self, argv):
         result = subprocess.run(
@@ -96,6 +101,39 @@ class TestIdentity:
         )  # fmt: skip
         assert result.returncode == 0
         assert json.loads(result.stdout)["p"] == int(argv[argv.index("--p") + 1])
+
+    def test_check_order_is_not_bounded_by_max_m(self, capsys):
+        # MAX_M sizes closed-form builds; `check --m` picks a sweep order
+        m = str(cli.MAX_M + 1)
+        code, out = run(capsys, "check", "--sbp", "--m", m, "--w", "1", "--n-max", "3")
+        assert code == 0
+        assert out.startswith(f"summation-by-parts m={m} w=1 n=0..3: PASS")
+
+
+class TestFactoredDenominators:
+    """Builds that took 20 s (g) and 49 s (f) on 2 cores while every
+    intermediate denominator was reduced by Euclid over Fractions. Their
+    poles are known as they are made, and the final forms have none."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity", "--family", "g", "--p", "6", "--m", "20",
+             "--offset-a", "10", "--offset-b", "9", "--format", "json"],
+            ["identity", "--family", "f", "--p", "20", "--m", "20",
+             "--offset-a", "2", "--offset-b", "1", "--format", "json"],
+        ],
+        ids=["g-p6-m20-s10n+9", "f-p20-m20-s2n+1"],
+    )  # fmt: skip
+    def test_identity_finishes(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums", *argv],
+            capture_output=True, text=True, timeout=10,
+        )  # fmt: skip
+        assert result.returncode == 0
+        cf = json.loads(result.stdout)["closed_form"]
+        coefficients = [cf["constant"], *(term["coeff"] for term in cf["terms"])]
+        assert all(len(rf["den"]) == 1 for rf in coefficients)
 
 
 class TestTable:

@@ -8,17 +8,21 @@ import pytest
 
 import known_identities as known
 from harmonic_sums import identities
+from harmonic_sums.polynomial import ROOT_BOUND
 from harmonic_sums import (
     LinearArg,
     build_closed_form,
     corollary_rows,
     evaluate_cf,
     faulhaber_poly,
+    grid_rows,
     harmonic_direct,
     int_pow,
     lhs_direct,
     offset_sum_f,
     offset_sum_g,
+    parse_closed_form,
+    render,
     sbp_rows,
     sum_f,
     sum_g,
@@ -136,6 +140,17 @@ class TestOffsetSums:
                                 for k in range(n + 1)
                             )
                         assert evaluate_cf(variant, n) == literal
+
+    @pytest.mark.parametrize("family,builder", [("F", offset_sum_f), ("G", offset_sum_g)])
+    def test_offset_beyond_root_bound(self, family, builder):
+        # the shift-basis poles (n = -5000 and n = -5001/2) lie beyond
+        # ROOT_BOUND: the algebra computes them and never searches for them
+        s = LinearArg(1, 5000)
+        assert s.b > ROOT_BOUND
+        cf = builder(2, 2, s)
+        rows = list(grid_rows(family, 2, 2, s, cf, 5))
+        assert len(rows) == 6 and all(row.passed for row in rows)
+        assert parse_closed_form(render(cf, "json")) == cf
 
     def test_build_dispatch(self):
         assert build_closed_form("f", 2, 1, S0) == sum_f(2, 1)

@@ -36,14 +36,19 @@ class TestPolynomialArithmetic:
         assert rf.is_polynomial
         assert rf.as_polynomial() == N - 1
 
-    def test_divmod(self):
-        q, r = (N**3 + 2 * N + 1).divmod(N**2 + 1)
-        assert q == N
-        assert r == N + 1
-
-    def test_exact_div_rejects_remainder(self):
-        with pytest.raises(ValueError):
-            (N**2 + 1).exact_div(N + 1)
+    @pytest.mark.parametrize(
+        "poly,root,expected",
+        [
+            (N**2 - 1, Fraction(1), N + 1),
+            (2 * N - 1, Fraction(1, 2), Polynomial([2])),
+            ((3 * N + 2) ** 2 * (N - 5), Fraction(-2, 3), (3 * N + 2) * (N - 5) * 3),
+            (N**2 + 1, Fraction(-1), None),
+            (6 * N - 4, Fraction(1, 3), None),
+            (Polynomial([7]), Fraction(0), None),
+        ],
+    )
+    def test_divide_linear(self, poly, root, expected):
+        assert poly.divide_linear(root) == expected
 
     @pytest.mark.parametrize(
         "poly,a,b,expected",
@@ -102,14 +107,47 @@ class TestRationalFunction:
         assert rf.num == N + 1
 
     def test_scale_invariance(self):
+        # a denominator must split over small rational roots, so the
+        # denominator and the common factor are drawn as products of
+        # linear factors q*n - p
         rng = random.Random(11)
+
+        def split_polynomial() -> Polynomial:
+            poly = Polynomial.constant(rng.choice([1, -2, 3, Fraction(-1, 2)]))
+            for _ in range(rng.randint(0, 3)):
+                poly = poly * Polynomial.linear(rng.randint(1, 5), rng.randint(-5, 5))
+            return poly
+
         for _ in range(60):
             num = Polynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
-            den = Polynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
-            scale = Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
-            if den.is_zero or scale.is_zero:
-                continue
+            den, scale = split_polynomial(), split_polynomial()
             assert RationalFunction(num * scale, den * scale) == RationalFunction(num, den)
+
+    def test_poles_are_sorted_and_reduced(self):
+        rf = RationalFunction((N - 2) * (N + 4), (N - 2) ** 2 * (2 * N + 1) * 3)
+        assert rf.poles == ((Fraction(-1, 2), 1), (Fraction(2), 1))
+        assert rf.num == Fraction(1, 6) * (N + 4)
+        assert rf.den == (N - 2) * (N + Fraction(1, 2))
+
+    @pytest.mark.parametrize("den", [N**2 + 1, N + 1001, (N - 1) * (N**2 - 2)])
+    def test_denominator_that_does_not_split_is_refused(self, den):
+        with pytest.raises(ValueError, match="does not split"):
+            RationalFunction(1, den)
+
+    def test_root_at_the_bound_is_found(self):
+        rf = RationalFunction(1, N + 1000)
+        assert rf.poles == ((Fraction(-1000), 1),)
+        assert RationalFunction(1, 1000 * N - 1).poles == ((Fraction(1, 1000), 1),)
+
+    def test_computed_poles_are_not_bounded(self):
+        # poles the algebra creates are never searched for, however far out
+        rf = RationalFunction.from_poles(1, [(Fraction(-5001), 2)])
+        assert rf.evaluate(-5000) == 1
+        assert (rf * (N + 5001)).poles == ((Fraction(-5001), 1),)
+        assert rf.compose_linear(2, 1).poles == ((Fraction(-2501), 2),)
+        assert rf.compose_linear(0, 3) == RationalFunction(Fraction(1, 5004**2))
+        with pytest.raises(PoleError):
+            rf.compose_linear(0, -5001)
 
     def test_structural_equality_matches_pointwise(self):
         # equal canonical forms agree everywhere; unequal ones differ somewhere
@@ -138,7 +176,7 @@ class TestRationalFunction:
 
 
 class TestConstantDenominator:
-    """A constant denominator is divided into the numerator; no gcd runs."""
+    """A constant denominator is divided into the numerator and leaves no pole."""
 
     NUM = Polynomial([Fraction(1, 2), -3, 0, 7])
 

@@ -4,8 +4,8 @@ Each of the four core properties (basis-shift value preservation,
 substitution/evaluation commutation, canonicalization idempotence, and
 the offset-splitting law for direct harmonic numbers) runs on at least
 200 generated instances. The integer polynomial kernels (product, linear
-composition, evaluation) are checked against Fraction reference
-implementations kept in this file.
+composition, evaluation) and the pole arithmetic of rational functions
+are checked against Fraction reference implementations kept in this file.
 """
 
 from collections import Counter
@@ -229,3 +229,84 @@ def test_evaluate_matches_fraction_horner(poly, xs):
         value = poly.evaluate(x)
         assert type(value) is Fraction
         assert value == reference_evaluate(poly, Fraction(x)), x
+
+
+# ---------------------------------------------------------------------------
+# rational functions over split denominators against Fraction references
+
+# c * prod (q*n - p)**e with |p|, q <= 20 and e <= 3
+linear_powers = st.tuples(
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+def _split_polynomial(content, factors):
+    poly = Polynomial.constant(content)
+    for p, q, e in factors:
+        poly = poly * Polynomial.linear(q, -p) ** e
+    return poly
+
+
+split_polynomials = st.builds(
+    _split_polynomial, fractions.filter(bool), st.lists(linear_powers, max_size=3)
+)
+
+# (numerator, denominator) pairs as drawn, before canonicalisation
+quotients = st.tuples(kernel_polynomials, split_polynomials)
+split_quotients = st.tuples(split_polynomials, split_polynomials)
+
+
+def reference_value(pair, x):
+    """num(x) / den(x) by Fraction Horner, or None at a zero of den."""
+    den = reference_evaluate(pair[1], x)
+    return reference_evaluate(pair[0], x) / den if den else None
+
+
+def assert_canonical(rf):
+    assert RationalFunction(rf.num, rf.den) == rf
+    assert all(rf.num.evaluate(r) for r, _ in rf.poles)
+    assert [r for r, _ in rf.poles] == sorted({r for r, _ in rf.poles})
+    assert rf.den.leading == 1
+
+
+@MANY
+@given(quotients, split_quotients, st.lists(points, min_size=1, max_size=4))
+@example((Polynomial([1]), Polynomial([1, 1])), (Polynomial([1, 1]), Polynomial([2, 1])), [0, 3])
+@example((Polynomial([-1, 1]), Polynomial([-1, 1])), (Polynomial([1]), Polynomial([-1, 1])), [2])
+def test_pole_arithmetic_matches_fraction_reference(x, y, ts):
+    fx, fy = RationalFunction(*x), RationalFunction(*y)
+    results = {
+        "+": (fx + fy, lambda u, v: u + v),
+        "-": (fx - fy, lambda u, v: u - v),
+        "*": (fx * fy, lambda u, v: u * v),
+    }
+    if fy:
+        results["/"] = (fx / fy, lambda u, v: u / v)
+    for rf, _ in results.values():
+        assert_canonical(rf)
+    for t in ts:
+        u, v = reference_value(x, t), reference_value(y, t)
+        if u is None or v is None:
+            continue
+        for op, (rf, reference) in results.items():
+            if op == "/" and not v:
+                continue
+            assert rf.evaluate(t) == reference(u, v), (op, t)
+
+
+@MANY
+@given(
+    quotients,
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-5, max_value=5),
+    st.lists(points, min_size=1, max_size=4),
+)
+def test_pole_composition_matches_fraction_reference(x, a, b, ts):
+    composed = RationalFunction(*x).compose_linear(a, b)
+    assert_canonical(composed)
+    for t in ts:
+        value = reference_value(x, a * Fraction(t) + b)
+        if value is not None:
+            assert composed.evaluate(t) == value, t

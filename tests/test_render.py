@@ -171,6 +171,12 @@ class TestJsonContract:
         data = json.loads(text)
         assert set(data) == {"constant", "terms"}
 
+    @pytest.mark.parametrize("den", [["1", "0", "1"], ["1001", "1"]], ids=["n^2+1", "n+1001"])
+    def test_denominator_that_does_not_split_is_refused(self, den):
+        data = {"constant": {"num": ["1"], "den": den}, "terms": []}
+        with pytest.raises(ValueError, match="does not split"):
+            parse_closed_form(data)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(ClosedForm.zero(), "html")
