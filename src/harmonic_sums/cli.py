@@ -39,14 +39,16 @@ from .render import (
 # Hard bounds on user-supplied parameters, enforced before dispatch.
 # MAX_P and MAX_M bound --p and --m of `identity` and `verify`, which build
 # closed forms: at p = MAX_P the slowest accepted identities (family g, at
-# m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take about 4.5 s on a 2-core
-# machine, within a 10 s budget. `faulhaber` builds one power-sum
-# polynomial only; at MAX_FAULHABER_P it takes about 3 s.
+# m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 2.8 s on a
+# 2-core machine, within a 10 s budget. `faulhaber` builds one power-sum
+# polynomial only; at MAX_FAULHABER_P it takes about 3 s. `bernoulli` up to
+# MAX_BERNOULLI_N takes about 5 s.
 MAX_ORDER_BELOW = -10
 MAX_M = 40
 MAX_OFFSET = 10
 MAX_P = 80
 MAX_FAULHABER_P = 640
+MAX_BERNOULLI_N = 800
 MAX_N = 10_000
 
 DEFAULT_GRID = {
@@ -74,7 +76,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate(parser, args)
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -152,7 +154,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         "m": (MAX_ORDER_BELOW, float("inf") if args.command == "check" else MAX_M),
         "offset_a": (0, MAX_OFFSET),
         "offset_b": (0, MAX_OFFSET),
-        "n_max": (0, MAX_N),
+        "n_max": (0, MAX_BERNOULLI_N if args.command == "bernoulli" else MAX_N),
     }
     for name, (low, high) in bounds.items():
         value = getattr(args, name, None)

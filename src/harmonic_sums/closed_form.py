@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .exact import int_pow
-from .polynomial import Polynomial, RationalFunction, faulhaber_poly
+from .polynomial import Polynomial, RationalFunction, _as_rf, faulhaber_poly
 
 __all__ = [
     "ClosedForm",
@@ -115,12 +115,6 @@ def harmonic_value(c: int, order: int) -> Fraction:
     return prefix[c]
 
 
-def _as_coeff(value: Coefficient) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
-
-
 class ClosedForm:
     """Canonical constant + sum of coeff * H_{a*n+b}^{(m)} terms."""
 
@@ -135,11 +129,11 @@ class ClosedForm:
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[HarmonicSymbol, RationalFunction] = {}
         for sym, coeff in items:
-            coeff = _as_coeff(coeff)
+            coeff = _as_rf(coeff)
             if sym in merged:
                 coeff = merged[sym] + coeff
             merged[sym] = coeff
-        self.constant: RationalFunction = _as_coeff(constant)
+        self.constant: RationalFunction = _as_rf(constant)
         self.terms: tuple[tuple[HarmonicSymbol, RationalFunction], ...] = tuple(
             sorted(
                 ((s, c) for s, c in merged.items() if not c.is_zero),
@@ -193,7 +187,7 @@ class ClosedForm:
         return self + (-other)
 
     def scale(self, factor: Coefficient) -> ClosedForm:
-        factor = _as_coeff(factor)
+        factor = _as_rf(factor)
         return ClosedForm(
             self.constant * factor, [(s, c * factor) for s, c in self.terms]
         )

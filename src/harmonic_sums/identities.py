@@ -70,8 +70,7 @@ def _sum_f_terms(p: int, m: int) -> ClosedForm:
     """sum_{k=0}^n k**p H_k^(m) over the H_n basis (no final shift)."""
     total = harmonic_term(_ARG_N, m).scale(faulhaber_poly(p))
     total = total + harmonic_term(_ARG_N, m - p)
-    for k in range(1, p + 2):
-        c = Fraction(binomial(p + 1, k), p + 1) * bernoulli_plus(p - k + 1)
+    for k, c in enumerate(faulhaber_poly(p).coeffs[1:], start=1):
         total = total - harmonic_term(_ARG_N, m - k).scale(c)
     return total
 

@@ -1,13 +1,14 @@
-"""Dense univariate polynomials and reduced rational functions over Fraction.
+"""Dense univariate polynomials and reduced rational functions over Q.
 
-The variable is always the summation limit n. Polynomials are stored as a
-tuple of coefficients indexed by degree with no trailing zeros, so equal
-polynomials are structurally equal. Rational functions keep their
-denominator factored as poles and are reduced for the same reason.
+The variable is always the summation limit n. A polynomial is stored as
+integer numerators over one denominator, without trailing zeros or common
+factor, so equal polynomials are structurally equal. Rational functions
+keep their denominator factored as poles and are reduced for the same reason.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -35,28 +36,29 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
 class Polynomial:
-    """Polynomial in n with exact rational coefficients.
+    """Polynomial in n: n**i has coefficient ``nums[i] / den``, den > 0.
 
-    ``coeffs[i]`` is the coefficient of n**i; the zero polynomial stores
-    an empty tuple and reports degree -1.
+    Canonical means no trailing zero numerator and gcd(den, *nums) == 1;
+    zero is ``((), 1)`` and reports degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    def __init__(self, coeffs: Iterable[Scalar] = (), den: int = 1) -> None:
+        nums = list(coeffs)  # ints or Fractions, all over den
+        common = 1  # a running lcm; lcm(*genexpr) first unpacks every denominator
+        for c in nums:
+            common = lcm(common, c.denominator)
+        nums = [c.numerator * (common // c.denominator) for c in nums]
+        while nums and not nums[-1]:
+            nums.pop()
+        den *= common
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # den // g > 0
+        if g != 1:
+            nums = [c // g for c in nums]
+        self.nums: tuple[int, ...] = tuple(nums)
+        self.den: int = den // g
 
     @classmethod
     def constant(cls, value: Scalar) -> Polynomial:
@@ -73,43 +75,50 @@ class Polynomial:
         return cls((b, a))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ``coeffs[i]`` of n**i: a view for display."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Polynomial((other,)).coeffs
+            other = Polynomial((other,))
+        if isinstance(other, Polynomial):
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = [c * a for c in self.nums] + [0] * (len(other.nums) - len(self.nums))
+        for i, c in enumerate(other.nums):
+            out[i] += c * b
+        return Polynomial(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial([-c for c in self.nums], self.den)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         return self + (-_as_poly(other))
@@ -119,21 +128,20 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
+            p = other.numerator
+            return Polynomial([c * p for c in self.nums], self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        # integer convolution of the numerators, one division per coefficient
-        xs, dx = self._integer_form()
-        ys, dy = other._integer_form()
+        # integer convolution of the numerators over the product of denominators
+        xs, ys = self.nums, other.nums
         out = [0] * (len(xs) + len(ys) - 1)
         for i, ci in enumerate(xs):
             if ci:
                 for j, cj in enumerate(ys):
                     out[i + j] += ci * cj
-        den = dx * dy
-        return Polynomial(Fraction(c, den) for c in out)
+        return Polynomial(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -149,49 +157,43 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("polynomial division by zero scalar")
-            return Polynomial(c / other for c in self.coeffs)
+            q = other.denominator
+            return Polynomial([c * q for c in self.nums], self.den * other.numerator)
         if isinstance(other, Polynomial):
             return RationalFunction(self, other)
         return NotImplemented
-
-    def _integer_form(self) -> tuple[list[int], int]:
-        """Integer numerators over the common denominator D: coeffs[i] == nums[i] / D."""
-        den = 1  # a running lcm; lcm(*genexpr) first unpacks every denominator
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def divide_linear(self, root: Fraction) -> Polynomial | None:
         """self / (n - root) if root is a zero of the nonzero self, else None.
         Integer synthetic division by q*n - p for root = p/q: by Gauss's lemma an
         exact quotient is integral, so an inexact step shows root is no zero."""
-        nums, den = self._integer_form()
+        nums = self.nums
         p, q = root.numerator, root.denominator
         quot, carry = [], 0
         for c in reversed(nums[1:]):
             carry, rem = divmod(c + p * carry, q)
             if rem:
                 return None
-            quot.append(carry)
+            quot.append(q * carry)
         if nums[0] + p * carry:
             return None
-        return Polynomial(Fraction(q * c, den) for c in reversed(quot))
+        quot.reverse()
+        return Polynomial(quot, self.den)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x = p/q by integer Horner with one final division.
 
-        Accumulates sum nums[i] * p**i * q**(deg-i), then divides by D * q**deg.
+        Accumulates sum nums[i] * p**i * q**(deg-i), then divides by den * q**deg.
         """
-        if not self.coeffs:
+        nums = self.nums
+        if not nums:
             return Fraction(0)
-        x = _as_fraction(x)
         p, q = x.numerator, x.denominator
-        nums, den = self._integer_form()
         acc, q_power = nums[-1], 1
         for c in reversed(nums[:-1]):
             q_power *= q
             acc = acc * p + c * q_power
-        return Fraction(acc, den * q_power)
+        return Fraction(acc, self.den * q_power)
 
     def compose_linear(self, a: int, b: int) -> Polynomial:
         """The polynomial p(a*n + b), expanded and canonical.
@@ -200,18 +202,17 @@ class Polynomial:
         coefficient j is then scaled by a**j from a running product, so
         a = 0 yields the constant p(b) without evaluating 0**0.
         """
-        nums, den = self._integer_form()
+        nums = list(self.nums)
         deg = len(nums) - 1
         if b:
             for i in range(deg):
                 for j in range(deg - 1, i - 1, -1):
                     nums[j] += b * nums[j + 1]
-        out = []
         a_power = 1
-        for c in nums:
-            out.append(Fraction(c * a_power, den))
+        for j, c in enumerate(nums):
+            nums[j] = c * a_power
             a_power *= a
-        return Polynomial(out)
+        return Polynomial(nums, self.den)
 
     def __repr__(self) -> str:
         from .render import polynomial_text
@@ -241,11 +242,10 @@ def _rational_root(poly: Polynomial) -> Fraction | None:
     """A zero p/q of poly with |p|, q <= ROOT_BOUND, or None. By Gauss's lemma
     q*n - p then divides the primitive integer form P, so q - p divides P(1)
     and q + p divides P(-1): integer tests that discard most candidates."""
-    if not poly.coeffs[0]:
+    if not poly.nums[0]:
         return Fraction(0)
-    nums, _ = poly._integer_form()
-    content = gcd(*nums)
-    nums = [c // content for c in nums]
+    content = gcd(*poly.nums)
+    nums = [c // content for c in poly.nums]
     at_one, at_minus_one = sum(nums), sum(nums[::2]) - sum(nums[1::2])
     for p in _divisors(nums[0]):
         for q in _divisors(nums[-1]):
@@ -312,8 +312,8 @@ class RationalFunction:
         if scale.degree > 0:
             raise ValueError(f"denominator {den!r} does not split within ROOT_BOUND = {ROOT_BOUND}")
         num = _as_poly(num)
-        if scale.coeffs[0] != 1:
-            num = num / scale.coeffs[0]
+        if scale != 1:
+            num = num / scale.leading
         self.num, self.poles = _cancel(num, roots)
 
     @classmethod
@@ -423,6 +423,12 @@ def _as_rf(value: RationalFunction | Polynomial | Scalar) -> RationalFunction:
     return RationalFunction(value)
 
 
+# One offset_sum_g(80, -10, 10n+10) build asks 6,723 times for exponents
+# up to 80 + 10 + 1; the polynomials are never mutated.
+_FAULHABER_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_FAULHABER_CACHE_SIZE)
 def faulhaber_poly(p: int) -> Polynomial:
     """The power-sum polynomial: the unique q with q(n) = 1**p + ... + n**p.
 
@@ -433,7 +439,5 @@ def faulhaber_poly(p: int) -> Polynomial:
     """
     if p < 0:
         raise ValueError(f"faulhaber_poly: p must be nonnegative, got {p}")
-    coeffs = [Fraction(0)] * (p + 2)
-    for k in range(1, p + 2):
-        coeffs[k] = Fraction(binomial(p + 1, k), p + 1) * bernoulli_plus(p - k + 1)
-    return Polynomial(coeffs)
+    coeffs = [binomial(p + 1, k) * bernoulli_plus(p - k + 1) for k in range(1, p + 2)]
+    return Polynomial([0, *coeffs], p + 1)

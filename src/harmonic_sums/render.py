@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .closed_form import ClosedForm, HarmonicSymbol, LinearArg
 from .polynomial import Polynomial, RationalFunction, faulhaber_poly, linear_factors
@@ -46,15 +46,14 @@ def factor_for_display(
     if poly.is_zero:
         return Fraction(0), []
     roots, rest = linear_factors(poly)
-    numerators = gcd(*(c.numerator for c in rest.coeffs))
-    content = Fraction(numerators, lcm(*(c.denominator for c in rest.coeffs)))
+    content = Fraction(gcd(*rest.nums), rest.den)
     if rest.leading < 0:
         content = -content
     factors = [(rest / content, 1)] if rest.degree >= 1 else []
     for root, mult in roots:  # n - p/q == (q*n - p) / q
         factors.append((Polynomial.linear(root.denominator, -root.numerator), mult))
         content /= root.denominator**mult
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].leading, fm[0].coeffs))
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].leading, fm[0].nums))
     return content, factors
 
 
@@ -84,8 +83,7 @@ def _plain_poly(poly: Polynomial, latex: bool) -> str:
     if poly.is_zero:
         return "0"
     parts: list[str] = []
-    for power in range(poly.degree, -1, -1):
-        c = poly.coeffs[power]
+    for power, c in reversed(tuple(enumerate(poly.coeffs))):
         if not c:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
@@ -269,19 +267,20 @@ def fraction_to_json(q: Fraction) -> dict[str, str]:
 
 
 def _rf_to_json(rf: RationalFunction) -> dict[str, list[str]]:
-    scale = lcm(1, *(c.denominator for c in rf.num.coeffs + rf.den.coeffs))
-    num = [c * scale for c in rf.num.coeffs]
-    den = [c * scale for c in rf.den.coeffs]
-    divisor = gcd(*(int(c) for c in num + den)) or 1
+    """num and den cross-multiplied by each other's denominator, then made primitive."""
+    num, den = rf.num, rf.den
+    nums = [c * den.den for c in num.nums]
+    dens = [c * num.den for c in den.nums]
+    divisor = gcd(*nums, *dens)  # den is nonzero
     return {
-        "num": [str(int(c) // divisor) for c in num],
-        "den": [str(int(c) // divisor) for c in den],
+        "num": [str(c // divisor) for c in nums],
+        "den": [str(c // divisor) for c in dens],
     }
 
 
 def _rf_from_json(data: dict) -> RationalFunction:
-    num = Polynomial(Fraction(int(c)) for c in data["num"])
-    den = Polynomial(Fraction(int(c)) for c in data["den"])
+    num = Polynomial([int(c) for c in data["num"]])
+    den = Polynomial([int(c) for c in data["den"]])
     return RationalFunction(num, den)
 
 

@@ -73,6 +73,7 @@ class TestIdentity:
             ("verify", "--p", str(cli.MAX_P + 1)),
             ("identity", "--family", "f", "--p", "1", "--m", str(cli.MAX_M + 1)),
             ("verify", "--m", str(cli.MAX_M + 1)),
+            ("bernoulli", "--n-max", str(cli.MAX_BERNOULLI_N + 1)),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -142,7 +143,9 @@ class TestTable:
         assert code == 0
         assert len(out.strip().splitlines()) == 72
 
-    @pytest.mark.parametrize("fmt,recorded", [("text", "table.txt"), ("latex", "table.tex")])
+    @pytest.mark.parametrize(
+        "fmt,recorded", [("text", "table.txt"), ("latex", "table.tex"), ("json", "table.json")]
+    )
     def test_matches_recorded_bytes(self, capsys, fmt, recorded):
         code, out = run(capsys, "table", "--format", fmt)
         assert code == 0
@@ -454,6 +457,13 @@ class TestAuxiliaryCommands:
         )
         assert code == 0
         assert target.read_text().strip() == "H_n^(-1) H_{n+1} - 1/4 n(n+1)"
+
+    def test_output_under_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "x"
+        code = main(["faulhaber", "--p", "2", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.parent.exists()
 
     def test_module_invocation(self):
         import subprocess

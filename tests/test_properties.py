@@ -3,9 +3,11 @@
 Each of the four core properties (basis-shift value preservation,
 substitution/evaluation commutation, canonicalization idempotence, and
 the offset-splitting law for direct harmonic numbers) runs on at least
-200 generated instances. The integer polynomial kernels (product, linear
+200 generated instances. The integer polynomial kernels (sum, negation,
+scalar product and quotient, product, division by a linear factor, linear
 composition, evaluation) and the pole arithmetic of rational functions
-are checked against Fraction reference implementations kept in this file.
+are checked against Fraction reference implementations kept in this file,
+and every kernel result is checked for the canonical integer layout.
 """
 
 from collections import Counter
@@ -197,15 +199,113 @@ def reference_evaluate(poly, x):
     return acc
 
 
+def reference_sum(xs, ys):
+    """Coefficient list of the sum, padded with Fraction zeros."""
+    n = max(len(xs), len(ys))
+    xs, ys = list(xs) + [Fraction(0)] * (n - len(xs)), list(ys) + [Fraction(0)] * (n - len(ys))
+    return [x + y for x, y in zip(xs, ys)]
+
+
+def reference_divide_linear(xs, root):
+    """(quotient, remainder) of the division by n - root, by Fraction synthetic division."""
+    quot, carry = [], Fraction(0)
+    for c in reversed(xs[1:]):
+        carry = c + root * carry
+        quot.append(carry)
+    remainder = (xs[0] + root * carry) if xs else Fraction(0)
+    return quot[::-1], remainder
+
+
+def assert_layout(poly):
+    """Integer numerators over one positive denominator, with no trailing zero
+    and no common factor; the Fraction view round-trips to an equal, equally
+    hashed polynomial."""
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(c) is int for c in poly.nums)
+    assert gcd(poly.den, *poly.nums) == 1
+    assert not poly.nums or poly.nums[-1] != 0
+    assert poly.nums or poly.den == 1
+    again = Polynomial(poly.coeffs)
+    assert again == poly and hash(again) == hash(poly)
+
+
 kernel_polynomials = st.lists(fractions, min_size=0, max_size=9).map(Polynomial)
 
 points = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
+scalars = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
+
+
+@MANY
+@given(st.lists(fractions, max_size=9), st.integers(min_value=-60, max_value=60).filter(bool))
+@example([], 7)
+@example([Fraction(2, 3), 0, 4, 0, 0], -6)
+def test_layout_is_canonical_for_any_scaling(coeffs, den):
+    # the same polynomial given as Fractions, or as integers over a denominator
+    poly = Polynomial([Fraction(c, den) for c in coeffs])
+    scaled = Polynomial([c * abs(den) for c in coeffs], den * abs(den))
+    assert_layout(poly)
+    assert_layout(scaled)
+    assert scaled == poly and hash(scaled) == hash(poly)
+    assert poly.coeffs == tuple([c / den for c in Polynomial(coeffs).coeffs])
+
+
+@MANY
+@given(kernel_polynomials, kernel_polynomials)
+@example(Polynomial([1, Fraction(1, 2)]), Polynomial([0, Fraction(-1, 2)]))
+@example(Polynomial([Fraction(1, 6)]), Polynomial([Fraction(1, 3), Fraction(1, 4)]))
+def test_sum_and_negation_match_fraction_reference(x, y):
+    results = {
+        "+": (x + y, reference_sum(x.coeffs, y.coeffs)),
+        "-": (x - y, reference_sum(x.coeffs, [-c for c in y.coeffs])),
+        "neg": (-x, [-c for c in x.coeffs]),
+    }
+    for op, (result, reference) in results.items():
+        assert_layout(result)
+        assert result == Polynomial(reference), op
+    assert (x - x).is_zero and (x - x).den == 1
+
+
+@MANY
+@given(kernel_polynomials, scalars)
+@example(Polynomial([Fraction(1, 2), 3]), Fraction(2, 3))
+@example(Polynomial([4, 6]), Fraction(-1, 2))
+@example(Polynomial([1, 2]), 0)
+def test_scalar_product_and_quotient_match_fraction_reference(poly, c):
+    products = (poly * c, c * poly)
+    for result in products:
+        assert_layout(result)
+        assert result == Polynomial([a * c for a in poly.coeffs])
+    if c:
+        quotient = poly / c
+        assert_layout(quotient)
+        assert quotient == Polynomial([a / c for a in poly.coeffs])
+
+
+@MANY
+@given(kernel_polynomials.filter(bool), fractions)
+@example(Polynomial([Fraction(-3, 2), 1]), Fraction(3, 2))
+@example(Polynomial([5]), Fraction(0))
+@example(Polynomial([Fraction(1, 3), 0, 1]), Fraction(-1, 4))
+def test_divide_linear_matches_fraction_synthetic_division(poly, root):
+    # a drawn poly is rarely divisible, so also divide its multiple by n - root
+    multiple = poly * Polynomial.linear(1, -root)
+    quotient = multiple.divide_linear(root)
+    assert quotient == poly
+    assert_layout(quotient)
+    reference, remainder = reference_divide_linear(list(poly.coeffs), root)
+    quotient = poly.divide_linear(root)
+    if remainder:
+        assert quotient is None
+    else:
+        assert_layout(quotient)
+        assert quotient == Polynomial(reference)
 
 
 @MANY
 @given(kernel_polynomials, kernel_polynomials)
 @example(Polynomial(), Polynomial([1, 2]))
 def test_product_matches_fraction_convolution(x, y):
+    assert_layout(x * y)
     assert x * y == Polynomial(reference_product(x.coeffs, y.coeffs))
 
 
@@ -217,7 +317,9 @@ def test_compose_linear_matches_fraction_horner(poly):
     # a = 0 folds to the constant p(b); negative b arises as LinearArg(a, b - 1)
     for a in range(6):
         for b in range(-5, 6):
-            assert poly.compose_linear(a, b) == reference_compose_linear(poly, a, b), (a, b)
+            composed = poly.compose_linear(a, b)
+            assert_layout(composed)
+            assert composed == reference_compose_linear(poly, a, b), (a, b)
 
 
 @MANY
