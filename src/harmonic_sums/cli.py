@@ -42,13 +42,14 @@ from .render import (
 # m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 2.8 s on a
 # 2-core machine, within a 10 s budget. `faulhaber` builds one power-sum
 # polynomial only; at MAX_FAULHABER_P it takes about 3 s. `bernoulli` up to
-# MAX_BERNOULLI_N takes about 5 s.
+# MAX_BERNOULLI_N takes about 5 s; both are dominated by the Bernoulli
+# triangle, whose cost grows like n**3 (B_0..B_3000 takes 5-6 s).
 MAX_ORDER_BELOW = -10
 MAX_M = 40
 MAX_OFFSET = 10
 MAX_P = 80
-MAX_FAULHABER_P = 640
-MAX_BERNOULLI_N = 800
+MAX_FAULHABER_P = 2200
+MAX_BERNOULLI_N = 2800
 MAX_N = 10_000
 
 DEFAULT_GRID = {

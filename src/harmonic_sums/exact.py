@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
 
 __all__ = ["BernoulliCache", "bernoulli_plus", "binomial", "int_pow"]
 
@@ -40,39 +41,56 @@ def int_pow(base: int | Fraction, exp: int) -> Fraction:
 class BernoulliCache:
     """Append-only cache of Bernoulli numbers in the B_1 = +1/2 convention.
 
-    Values are computed once from the defining recurrence
+    Integers only, from the Seidel-Entringer (boustrophedon) triangle:
+    row 0 is [1], and row r is the running sums of row r-1 reversed,
+    starting from 0,
 
-        B_m = -1/(m+1) * sum_{j=0}^{m-1} C(m+1, j) B_j      (B_1 = -1/2 kind)
+        row_r[0] = 0,   row_r[i] = row_r[i-1] + row_{r-1}[r-i].
 
-    and the sign of the index-1 entry flipped on the way out (odd indices
-    >= 3 vanish, so index 1 is the only one the convention changes).
-    Growth is lock-guarded; readers always see a consistent prefix and the
-    same index always yields the same value.
+    The last entry of row r is the Euler zigzag number E_r, and the odd
+    ones are the tangent numbers T_j = E_{2j-1} (1, 2, 16, 272, ...), so
+
+        B_2j = (-1)**(j-1) * 2j * T_j / (4**j * (4**j - 1))
+
+    (Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers", arXiv:1108.0286), one reduction per value. B_0 = 1 and
+    B_1 = +1/2 are stored as such, and odd indices >= 3 are 0. Growth is
+    incremental: the cache keeps the last triangle row it built, and two
+    more rows give the next even value. Row r has r + 1 entries, so the
+    row states its own index: a growth cut short by an exception leaves
+    a valid row and a valid prefix, and the next growth resumes from
+    both. Growth is lock-guarded; readers always see a consistent prefix
+    and the same index always yields the same value.
     """
 
     def __init__(self) -> None:
-        self._first_kind: list[Fraction] = [Fraction(1)]
+        self._values: list[Fraction] = [Fraction(1), Fraction(1, 2)]
+        self._row: list[int] = [1]
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._first_kind)
+        return len(self._values)
 
     def get(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError(f"Bernoulli index must be nonnegative, got {k}")
-        if k >= len(self._first_kind):
+        if k >= len(self._values):
             with self._lock:
                 self._grow(k)
-        value = self._first_kind[k]
-        return -value if k == 1 else value
+        return self._values[k]
 
     def _grow(self, k: int) -> None:
-        values = self._first_kind
+        values = self._values
         for m in range(len(values), k + 1):
-            acc = Fraction(0)
-            for j, b_j in enumerate(values):
-                acc += binomial(m + 1, j) * b_j
-            values.append(-acc / (m + 1))
+            if m % 2:
+                values.append(Fraction(0))
+                continue
+            while len(self._row) < m:  # row m - 1 ends with T_j, j = m/2
+                self._row = list(accumulate(reversed(self._row), initial=0))
+            j = m // 2
+            four_j = 4**j
+            signed_tangent = self._row[-1] if j % 2 else -self._row[-1]  # (-1)**(j-1) * T_j
+            values.append(Fraction(m * signed_tangent, four_j * (four_j - 1)))
 
 
 _CACHE = BernoulliCache()

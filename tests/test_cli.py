@@ -103,6 +103,15 @@ class TestIdentity:
         assert result.returncode == 0
         assert json.loads(result.stdout)["p"] == int(argv[argv.index("--p") + 1])
 
+    def test_largest_accepted_bernoulli_n_finishes(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums", "bernoulli",
+             "--n-max", str(cli.MAX_BERNOULLI_N), "--format", "json"],
+            capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["values"][-1]["k"] == cli.MAX_BERNOULLI_N
+
     def test_check_order_is_not_bounded_by_max_m(self, capsys):
         # MAX_M sizes closed-form builds; `check --m` picks a sweep order
         m = str(cli.MAX_M + 1)

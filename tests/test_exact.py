@@ -1,11 +1,13 @@
 """Scalar layer: binomials, powers, Bernoulli numbers."""
 
+import sys
+import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from harmonic_sums import BernoulliCache, bernoulli_plus, binomial, int_pow
+from harmonic_sums import BernoulliCache, bernoulli_plus, binomial, exact, int_pow
 
 
 def akiyama_tanigawa(count: int) -> list[Fraction]:
@@ -37,9 +39,20 @@ class TestBernoulli:
         assert bernoulli_plus(12) == Fraction(-691, 2730)
 
     def test_matches_independent_oracle(self):
-        expected = akiyama_tanigawa(30)
-        for k in range(31):
+        expected = akiyama_tanigawa(100)
+        for k in range(101):
             assert bernoulli_plus(k) == expected[k], k
+
+    def test_von_staudt_clausen_denominators(self):
+        # the denominator of B_2k is the product of the primes p with (p - 1) | 2k
+        primes = [p for p in range(2, 1002) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        for k in range(1, 501):
+            expected = prod(p for p in primes if (2 * k) % (p - 1) == 0)
+            assert bernoulli_plus(2 * k).denominator == expected, 2 * k
+
+    def test_even_signs_alternate(self):
+        for k in range(1, 501):
+            assert (bernoulli_plus(2 * k) > 0) == (k % 2 == 1), 2 * k
 
     def test_odd_indices_vanish(self):
         for k in range(1, 15):
@@ -64,6 +77,60 @@ class TestBernoulli:
             value = bernoulli_plus(k)
             assert gcd(abs(value.numerator), value.denominator) == 1
             assert value.denominator > 0
+
+    def test_failed_growth_leaves_a_consistent_cache(self, monkeypatch):
+        fast = exact.accumulate
+        calls = 0
+
+        def failing_accumulate(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 9:  # the second of the two rows that give B_10
+                raise RuntimeError("interrupted growth")
+            return fast(*args, **kwargs)
+
+        cache = BernoulliCache()
+        monkeypatch.setattr(exact, "accumulate", failing_accumulate)
+        with pytest.raises(RuntimeError):
+            cache.get(20)
+        monkeypatch.setattr(exact, "accumulate", fast)
+        assert len(cache) == 10  # B_0..B_9, with the row for B_10 half built
+        assert [cache.get(k) for k in range(41)] == akiyama_tanigawa(40)
+
+
+class TestBernoulliCacheUnderThreads:
+    """Several threads growing one fresh cache must see the serial values and add each index once."""
+
+    @pytest.mark.parametrize("walk", [True, False], ids=["walk", "jump"])
+    def test_concurrent_growth(self, walk):
+        k_max = 200
+        serial = BernoulliCache()
+        expected = [serial.get(k) for k in range(k_max + 1)]
+        cache = BernoulliCache()
+        start = threading.Barrier(4)
+        results: dict[int, list[Fraction]] = {}
+
+        def work(i: int) -> None:
+            start.wait()
+            if not walk:
+                cache.get(k_max)
+            results[i] = [cache.get(k) for k in range(k_max + 1)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, in mid-growth
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for values in results.values():
+            assert values == expected
+        assert len(cache) == k_max + 1
 
 
 class TestBinomial:
