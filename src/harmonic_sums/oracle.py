@@ -2,7 +2,9 @@
 
 The evaluators here compute harmonic numbers and the weighted double sums
 literally, term by term, sharing no code with the closed-form
-constructors (no Bernoulli numbers, no power-sum polynomials). Every
+constructors (no Bernoulli numbers, no power-sum polynomials). The
+double sum ``lhs_direct`` adds its summands as integers over one common
+denominator and reduces the total once. Every
 check is a sweep that yields one exact ``CheckRow`` per n: ``grid_rows``
 for a constructed closed form, ``sbp_rows`` and ``corollary_rows`` for
 the summation-by-parts and corollary identities. ``grid_rows`` receives
@@ -17,6 +19,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .closed_form import ClosedForm, LinearArg, evaluate_cf
@@ -46,13 +49,18 @@ def harmonic_direct(c: int, n: int, m: int) -> Fraction:
         raise ValueError(f"offset must be nonnegative, got {c}")
     if n < 0:
         raise ValueError(f"upper limit must be nonnegative, got {n}")
+    return _prefix(c, m, n)[n]
+
+
+def _prefix(c: int, m: int, n: int) -> list[Fraction]:
+    """The memoized list H_{c,0}^(m), H_{c,1}^(m), ..., grown to index n at least."""
     prefix = _PREFIX.setdefault((c, m), [Fraction(0)])
     if len(prefix) <= n:
         with _PREFIX_LOCK:
             while len(prefix) <= n:
                 k = len(prefix)
                 prefix.append(prefix[-1] + int_pow(Fraction(c + k), -m))
-    return prefix[n]
+    return prefix
 
 
 def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
@@ -61,22 +69,29 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
     family 'F': sum_{k=0}^n k**p H_{s+k}^(m)
     family 'G': sum_{k=0}^n k**p H_{s+n-k}^(m)
 
-    k**p uses 0**0 = 1 at k = 0, p = 0.
+    k**p uses 0**0 = 1 at k = 0, p = 0. The n + 1 summands are added term
+    by term as integers: each H = num/d is scaled to the common
+    denominator D, the running lcm of the d, and the sum is reduced once.
     """
     if p < 0 or n < 0:
         raise ValueError("p and n must be nonnegative")
-    base = s.at(n)
     family = family.upper()
-    total = Fraction(0)
-    for k in range(n + 1):
-        if family == "F":
-            h = harmonic_direct(0, base + k, m)
-        elif family == "G":
-            h = harmonic_direct(0, base + n - k, m)
-        else:
-            raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
-        total += int_pow(Fraction(k), p) * h
-    return total
+    if family not in ("F", "G"):
+        raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
+    base = s.at(n)
+    if base < 0:
+        raise ValueError(f"offset {s} must be nonnegative at n = {n}, got {base}")
+    values = _prefix(0, m, base + n)[base : base + n + 1]
+    if family == "G":
+        values.reverse()
+    den = 1
+    for h in values:
+        if den % h.denominator:
+            den = lcm(den, h.denominator)
+    total = 0
+    for k, h in enumerate(values):
+        total += int_pow(k, p).numerator * h.numerator * (den // h.denominator)
+    return Fraction(total, den)
 
 
 @dataclass(frozen=True)

@@ -388,7 +388,15 @@ class RationalFunction:
         other = _as_rf(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return self * RationalFunction(other.den, other.num)
+        try:
+            reciprocal = RationalFunction(other.den, other.num)
+        except ValueError:
+            # a numerator with no rational roots cannot become poles
+            raise ValueError(
+                f"cannot divide by {other!r}: its numerator {other.num!r} "
+                f"does not split within ROOT_BOUND = {ROOT_BOUND}"
+            ) from None
+        return self * reciprocal
 
     def __rtruediv__(self, other: Polynomial | Scalar) -> RationalFunction:
         return _as_rf(other) / self

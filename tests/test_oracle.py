@@ -16,6 +16,7 @@ from harmonic_sums import (
     int_pow,
     lhs_direct,
 )
+import test_properties as props
 
 S0 = LinearArg(0, 0)
 
@@ -108,6 +109,20 @@ class TestLhsDirect:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             lhs_direct("Q", 0, 1, S0, 1)
+
+    def test_negative_offset_rejected(self):
+        for family in "FG":
+            with pytest.raises(ValueError, match="got -3"):
+                lhs_direct(family, 1, 1, LinearArg(1, -3), 0)
+
+    # the verify-deep rows of the benchmark, at its largest n
+    @pytest.mark.parametrize(
+        "family,p,m,a,b",
+        [("F", 2, 2, 2, 1), ("G", 3, 1, 1, 0), ("F", 4, 1, 2, 0), ("G", 1, 3, 2, 2)],
+    )
+    def test_deep_rows_match_fraction_reference(self, family, p, m, a, b):
+        s = LinearArg(a, b)
+        assert lhs_direct(family, p, m, s, 399) == props.reference_lhs_direct(family, p, m, s, 399)
 
 
 class TestVerifyGrid:

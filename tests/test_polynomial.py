@@ -134,6 +134,19 @@ class TestRationalFunction:
         with pytest.raises(ValueError, match="does not split"):
             RationalFunction(1, den)
 
+    def test_division_by_a_numerator_that_does_not_split_names_the_divisor(self):
+        divisor = RationalFunction(N**2 + 1)
+        with pytest.raises(ValueError) as info:
+            RationalFunction(N + 1, N + 2) / divisor
+        message = str(info.value)
+        assert message.startswith(f"cannot divide by {divisor!r}: its numerator {divisor.num!r}")
+        assert "does not split" in message and "denominator" not in message
+
+    def test_division_by_a_rational_function(self):
+        quotient = RationalFunction(N + 1, N + 2) / RationalFunction(N + 3, N + 4)
+        assert quotient == RationalFunction((N + 1) * (N + 4), (N + 2) * (N + 3))
+        assert quotient.poles == ((Fraction(-3), 1), (Fraction(-2), 1))
+
     def test_root_at_the_bound_is_found(self):
         rf = RationalFunction(1, N + 1000)
         assert rf.poles == ((Fraction(-1000), 1),)

@@ -3,7 +3,8 @@
 Each of the four core properties (basis-shift value preservation,
 substitution/evaluation commutation, canonicalization idempotence, and
 the offset-splitting law for direct harmonic numbers) runs on at least
-200 generated instances. The integer polynomial kernels (sum, negation,
+200 generated instances. The oracle's integer accumulation in
+``lhs_direct``, the integer polynomial kernels (sum, negation,
 scalar product and quotient, product, division by a linear factor, linear
 composition, evaluation) and the pole arithmetic of rational functions
 are checked against Fraction reference implementations kept in this file,
@@ -24,6 +25,7 @@ from harmonic_sums import (
     RationalFunction,
     evaluate_cf,
     harmonic_direct,
+    lhs_direct,
     parse_closed_form,
     render,
     shift_basis,
@@ -107,6 +109,37 @@ def test_offset_harmonic_splits_into_difference(c, n, m):
     assert harmonic_direct(c, n, m) == harmonic_direct(0, c + n, m) - harmonic_direct(
         0, c, m
     )
+
+
+def reference_lhs_direct(family, p, m, s, n):
+    """sum_k k**p H_j^(m) with j = s+k (F) or s+n-k (G), one Fraction addition
+    per summand, over harmonic numbers from a running Fraction sum."""
+    base = s.at(n)
+    h = [Fraction(0)]
+    for i in range(1, base + n + 1):
+        h.append(h[-1] + Fraction(i) ** -m)
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += k**p * h[base + k if family == "F" else base + n - k]  # int 0**0 == 1
+    return total
+
+
+@MANY
+@given(
+    st.sampled_from("FG"),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=-4, max_value=5),
+    st.builds(
+        LinearArg, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
+    ),
+    st.integers(min_value=0, max_value=60),
+)
+@example("F", 0, 2, LinearArg(0, 3), 0)  # the lone summand is 0**0 * H_3^(2)
+@example("G", 0, 1, LinearArg(1, 2), 0)
+@example("F", 3, 0, LinearArg(2, 1), 10)  # m = 0: H_j^(0) = j
+@example("G", 5, 0, LinearArg(0, 0), 7)
+def test_lhs_direct_matches_fraction_reference(family, p, m, s, n):
+    assert lhs_direct(family, p, m, s, n) == reference_lhs_direct(family, p, m, s, n)
 
 
 @MANY
