@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .closed_form import ClosedForm, LinearArg
 from .identities import offset_sum_f, offset_sum_g, sum_f, sum_g
-from .polynomial import RationalFunction, faulhaber_poly
+from .polynomial import faulhaber_poly
 from .render import _power_sum_label
 
 __all__ = ["CatalogEntry", "catalog_entries"]
@@ -69,7 +69,7 @@ def _summand_arg(kind: str, offset: LinearArg) -> str:
 def catalog_entries() -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     for p in range(6):
-        poly_form = ClosedForm(RationalFunction(faulhaber_poly(p)))
+        poly_form = ClosedForm(faulhaber_poly(p))
         entries.append(CatalogEntry("power_sum", p, None, _ZERO_OFFSET, poly_form))
     for m in range(1, 5):
         for p in range(6):

@@ -26,7 +26,7 @@ from .closed_form import ClosedForm, LinearArg
 from .exact import bernoulli_plus
 from .identities import build_closed_form
 from .oracle import COROLLARY_START, CheckRow, corollary_rows, grid_rows, sbp_rows
-from .polynomial import RationalFunction, faulhaber_poly
+from .polynomial import faulhaber_poly
 from .render import (
     FORMATS,
     _fraction_text,
@@ -361,7 +361,7 @@ def _cmd_faulhaber(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "p": args.p,
-            "closed_form": closed_form_to_json(ClosedForm(RationalFunction(poly))),
+            "closed_form": closed_form_to_json(ClosedForm(poly)),
         }
         _emit(json.dumps(payload, indent=2), args.output)
     elif args.format == "latex":

@@ -264,7 +264,7 @@ def shift_basis(
             terms.append((HarmonicSymbol(up, sym.order), coeff))
             # 1/(a*n + b)**m == a**-m / (n + b/a)**m: the pole is known, not searched for
             root, order = Fraction(-up.b, up.a), sym.order
-            constant -= coeff * RationalFunction.from_poles(Fraction(1, up.a**order), [(root, order)])
+            constant -= coeff * RationalFunction(Fraction(1, up.a**order), [(root, order)])
         else:
             terms.append((sym, coeff))
     return ClosedForm(constant, terms)

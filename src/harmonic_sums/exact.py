@@ -23,19 +23,19 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def int_pow(base: int | Fraction, exp: int) -> Fraction:
-    """base**exp as an exact Fraction, with the convention 0**0 = 1.
+def int_pow(base: int | Fraction, exp: int) -> int | Fraction:
+    """base**exp, exact, with the convention 0**0 = 1: Python's ``**`` for
+    exp >= 0 (an int for an int base), a Fraction for exp < 0.
 
     This is the single choke point for powers, so the 0**0 = 1 rule is
     applied consistently across the package (it is what makes the zero
     offset collapse onto the plain sums).
     """
-    if exp == 0:
-        return Fraction(1)
-    base = Fraction(base)
-    if not base and exp < 0:
+    if exp >= 0:
+        return base**exp
+    if not base:
         raise ValueError("int_pow: zero base with negative exponent")
-    return base**exp
+    return Fraction(base) ** exp
 
 
 class BernoulliCache:

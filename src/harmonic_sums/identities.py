@@ -28,7 +28,7 @@ from .closed_form import (
     substitute_n,
 )
 from .exact import bernoulli_plus, binomial
-from .polynomial import Polynomial, RationalFunction, faulhaber_poly
+from .polynomial import Polynomial, faulhaber_poly
 
 __all__ = [
     "build_closed_form",
@@ -81,7 +81,7 @@ def _sum_g_terms(p: int, m: int) -> ClosedForm:
     weight = faulhaber_poly(p) + (1 if p == 0 else 0)
     total = harmonic_term(_ARG_N, m).scale(weight)
     for k in range(1, p + 2):
-        bracket = RationalFunction(bernoulli_plus(p - k + 1))
+        bracket = bernoulli_plus(p - k + 1)
         if k <= p:  # the k = p+1 bracket term carries factor p-k+1 = 0
             bracket = bracket + (p - k + 1) * faulhaber_poly(p - k)
         c = Fraction((-1) ** k * binomial(p + 1, k), p + 1)
@@ -131,8 +131,7 @@ def offset_sum_f(
             lower = ClosedForm.zero()  # empty sum below the offset
         else:
             lower = substitute_n(plain, LinearArg(s.a, s.b - 1))
-        factor = RationalFunction(s_power * ((-1) ** k * binomial(p, k)))
-        total = total + (upper - lower).scale(factor)
+        total = total + (upper - lower).scale(s_power * ((-1) ** k * binomial(p, k)))
         s_power = s_power * s_poly
     if offset_harmonic:
         total = total - _offset_correction(p, m, s)
@@ -151,8 +150,7 @@ def offset_sum_g(
         if s.a == 0 and s.b == 0:
             break  # every lower piece is the empty sum
         lower = substitute_n(_sum_g_terms(k, m), LinearArg(s.a, s.b - 1))
-        factor = RationalFunction(shift ** (p - k) * binomial(p, k))
-        total = total - lower.scale(factor)
+        total = total - lower.scale(shift ** (p - k) * binomial(p, k))
     if offset_harmonic:
         total = total - _offset_correction(p, m, s)
     return shift_basis(total, offset_basis(s))

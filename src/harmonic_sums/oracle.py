@@ -69,9 +69,10 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
     family 'F': sum_{k=0}^n k**p H_{s+k}^(m)
     family 'G': sum_{k=0}^n k**p H_{s+n-k}^(m)
 
-    k**p uses 0**0 = 1 at k = 0, p = 0. The n + 1 summands are added term
-    by term as integers: each H = num/d is scaled to the common
-    denominator D, the running lcm of the d, and the sum is reduced once.
+    k**p is the integer ``int_pow(k, p)``, with 0**0 = 1 at k = 0, p = 0.
+    The n + 1 summands are added term by term as integers: each H = num/d
+    is scaled to the common denominator D, the running lcm of the d, and
+    the sum is reduced once.
     """
     if p < 0 or n < 0:
         raise ValueError("p and n must be nonnegative")
@@ -90,7 +91,7 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
             den = lcm(den, h.denominator)
     total = 0
     for k, h in enumerate(values):
-        total += int_pow(k, p).numerator * h.numerator * (den // h.denominator)
+        total += int_pow(k, p) * h.numerator * (den // h.denominator)
     return Fraction(total, den)
 
 

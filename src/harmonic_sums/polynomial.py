@@ -40,20 +40,16 @@ class Polynomial:
     """Polynomial in n: n**i has coefficient ``nums[i] / den``, den > 0.
 
     Canonical means no trailing zero numerator and gcd(den, *nums) == 1;
-    zero is ``((), 1)`` and reports degree -1.
+    zero is ``((), 1)`` and reports degree -1. The constructor takes integer
+    numerators only and makes them canonical; ``of`` takes Fractions.
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), den: int = 1) -> None:
-        nums = list(coeffs)  # ints or Fractions, all over den
-        common = 1  # a running lcm; lcm(*genexpr) first unpacks every denominator
-        for c in nums:
-            common = lcm(common, c.denominator)
-        nums = [c.numerator * (common // c.denominator) for c in nums]
+    def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
+        nums = list(nums)  # integers only: gcd raises TypeError on a Fraction
         while nums and not nums[-1]:
             nums.pop()
-        den *= common
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)  # den // g > 0
         if g != 1:
             nums = [c // g for c in nums]
@@ -61,8 +57,17 @@ class Polynomial:
         self.den: int = den // g
 
     @classmethod
+    def of(cls, coeffs: Iterable[Scalar]) -> Polynomial:
+        """The polynomial with ``coeffs[i]`` of n**i, ints or Fractions."""
+        coeffs = list(coeffs)
+        den = 1  # a running lcm; lcm(*genexpr) first unpacks every denominator
+        for c in coeffs:
+            den = lcm(den, c.denominator)
+        return cls([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
     def constant(cls, value: Scalar) -> Polynomial:
-        return cls((value,))
+        return cls.of((value,))
 
     @classmethod
     def variable(cls) -> Polynomial:
@@ -72,7 +77,7 @@ class Polynomial:
     @classmethod
     def linear(cls, a: Scalar, b: Scalar) -> Polynomial:
         """The polynomial a*n + b."""
-        return cls((b, a))
+        return cls.of((b, a))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -98,7 +103,7 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
+            other = Polynomial.constant(other)
         if isinstance(other, Polynomial):
             return self.nums == other.nums and self.den == other.den
         return NotImplemented
@@ -159,9 +164,18 @@ class Polynomial:
                 raise ZeroDivisionError("polynomial division by zero scalar")
             q = other.denominator
             return Polynomial([c * q for c in self.nums], self.den * other.numerator)
-        if isinstance(other, Polynomial):
-            return RationalFunction(self, other)
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        # the algebra's one root search: an expanded denominator becomes poles
+        if other.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        roots, scale = linear_factors(other)
+        if scale.degree > 0:
+            raise ValueError(f"denominator {other!r} does not split within ROOT_BOUND = {ROOT_BOUND}")
+        return RationalFunction(self / scale.leading, roots)
+
+    def __rtruediv__(self, other: Scalar) -> RationalFunction:
+        return _as_poly(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
 
     def divide_linear(self, root: Fraction) -> Polynomial | None:
         """self / (n - root) if root is a zero of the nonzero self, else None.
@@ -223,7 +237,7 @@ class Polynomial:
 def _as_poly(value: Polynomial | Scalar) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
-    return Polynomial((value,))
+    return Polynomial.constant(value)
 
 
 def linear_factors(poly: Polynomial) -> tuple[list[Pole], Polynomial]:
@@ -296,32 +310,16 @@ def _cancel(num: Polynomial, poles: Iterable[Pole]) -> tuple[Polynomial, tuple[P
 class RationalFunction:
     """num / prod (n - r)**e over the sorted poles ((r, e), ...), e >= 1.
 
-    Canonical means the numerator vanishes at no pole (zero has none), so
-    equality is structural. The algebra computes the poles it creates; only
-    a denominator given expanded, as ``den`` here, goes through the root
-    search, and one that does not split within ROOT_BOUND raises ValueError.
+    The constructor takes that layout, distinct roots r with exponents e,
+    and divides out every zero num shares with them. Canonical means the
+    numerator vanishes at no pole (zero has none), so equality is
+    structural. A denominator given expanded enters by division, num / den.
     """
 
     __slots__ = ("num", "poles")
 
-    def __init__(self, num: Polynomial | Scalar, den: Polynomial | Scalar = 1) -> None:
-        den = _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        roots, scale = linear_factors(den)
-        if scale.degree > 0:
-            raise ValueError(f"denominator {den!r} does not split within ROOT_BOUND = {ROOT_BOUND}")
-        num = _as_poly(num)
-        if scale != 1:
-            num = num / scale.leading
-        self.num, self.poles = _cancel(num, roots)
-
-    @classmethod
-    def from_poles(cls, num: Polynomial | Scalar, poles: Iterable[Pole]) -> RationalFunction:
-        """num / prod (n - r)**e, for distinct roots r and exponents e >= 1."""
-        rf = cls.__new__(cls)
-        rf.num, rf.poles = _cancel(_as_poly(num), poles)
-        return rf
+    def __init__(self, num: Polynomial | Scalar = 0, poles: Iterable[Pole] = ()) -> None:
+        self.num, self.poles = _cancel(_as_poly(num), poles)
 
     @property
     def den(self) -> Polynomial:
@@ -357,17 +355,17 @@ class RationalFunction:
     def __add__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         other = _as_rf(other)
         if self.poles == other.poles:  # mostly both empty: no cross products
-            return RationalFunction.from_poles(self.num + other.num, self.poles)
+            return RationalFunction(self.num + other.num, self.poles)
         mine, theirs = dict(self.poles), dict(other.poles)
         poles = {r: max(mine.get(r, 0), theirs.get(r, 0)) for r in mine | theirs}
         num = self.num * _expand((r, e - mine.get(r, 0)) for r, e in poles.items())
         num += other.num * _expand((r, e - theirs.get(r, 0)) for r, e in poles.items())
-        return RationalFunction.from_poles(num, poles.items())
+        return RationalFunction(num, poles.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction.from_poles(-self.num, self.poles)
+        return RationalFunction(-self.num, self.poles)
 
     def __sub__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         return self + (-_as_rf(other))
@@ -380,16 +378,14 @@ class RationalFunction:
         poles = dict(self.poles)
         for r, e in other.poles:
             poles[r] = poles.get(r, 0) + e
-        return RationalFunction.from_poles(self.num * other.num, poles.items())
+        return RationalFunction(self.num * other.num, poles.items())
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         other = _as_rf(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
         try:
-            reciprocal = RationalFunction(other.den, other.num)
+            reciprocal = other.den / other.num  # ZeroDivisionError for a zero other
         except ValueError:
             # a numerator with no rational roots cannot become poles
             raise ValueError(
@@ -417,7 +413,7 @@ class RationalFunction:
         num = self.num.compose_linear(a, b)
         if self.poles:
             num = num / a ** sum(e for _, e in self.poles)
-        return RationalFunction.from_poles(num, [((r - b) / a, e) for r, e in self.poles])
+        return RationalFunction(num, [((r - b) / a, e) for r, e in self.poles])
 
     def __repr__(self) -> str:
         from .render import rational_function_text
@@ -448,4 +444,4 @@ def faulhaber_poly(p: int) -> Polynomial:
     if p < 0:
         raise ValueError(f"faulhaber_poly: p must be nonnegative, got {p}")
     coeffs = [binomial(p + 1, k) * bernoulli_plus(p - k + 1) for k in range(1, p + 2)]
-    return Polynomial([0, *coeffs], p + 1)
+    return Polynomial.of([0, *coeffs]) / (p + 1)

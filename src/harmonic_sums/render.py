@@ -281,7 +281,7 @@ def _rf_to_json(rf: RationalFunction) -> dict[str, list[str]]:
 def _rf_from_json(data: dict) -> RationalFunction:
     num = Polynomial([int(c) for c in data["num"]])
     den = Polynomial([int(c) for c in data["den"]])
-    return RationalFunction(num, den)
+    return num / den
 
 
 def closed_form_to_json(cf: ClosedForm) -> dict:

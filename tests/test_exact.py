@@ -163,6 +163,15 @@ class TestIntPow:
     def test_values(self, base, exp, expected):
         assert int_pow(base, exp) == expected
 
+    @pytest.mark.parametrize(
+        "base,exp,expected",
+        [(3, 2, 9), (0, 0, 1), (2, -3, Fraction(1, 8)), (Fraction(3), 2, Fraction(9))],
+    )
+    def test_result_type(self, base, exp, expected):
+        # an int base to a nonnegative power stays an int; a negative power is a Fraction
+        value = int_pow(base, exp)
+        assert value == expected and type(value) is type(expected)
+
     def test_zero_base_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             int_pow(0, -2)

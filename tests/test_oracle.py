@@ -1,5 +1,6 @@
 """Brute-force evaluators and grid verification."""
 
+import ast
 import threading
 import time
 from fractions import Fraction
@@ -147,3 +148,29 @@ class TestVerifyGrid:
         assert [row.n for row in rows] == list(range(6))
         assert not any(row.passed for row in rows)
         assert all(row.rhs - row.lhs == 1 for row in rows)
+
+
+def test_oracle_imports_no_summation_code():
+    # the oracle must stay independent of the constructors it checks: nothing
+    # from the algebra, the builders or the renderer, only the power choke
+    # point and the closed-form type it evaluates
+    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "evaluate_cf"}}
+    with open(oracle.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "harmonic_sums":
+                    imported.setdefault(alias.name.partition(".")[2] or "*", set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "harmonic_sums":
+                continue  # the standard library
+            module = module.removeprefix("harmonic_sums").lstrip(".")
+            for alias in node.names:
+                if module:
+                    imported.setdefault(module, set()).add(alias.name)
+                else:  # from . import polynomial
+                    imported.setdefault(alias.name, set()).add("*")
+    assert imported == allowed

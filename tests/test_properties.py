@@ -13,7 +13,7 @@ and every kernel result is checked for the canonical integer layout.
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,7 +22,6 @@ from harmonic_sums import (
     HarmonicSymbol,
     LinearArg,
     Polynomial,
-    RationalFunction,
     evaluate_cf,
     harmonic_direct,
     lhs_direct,
@@ -39,7 +38,7 @@ fractions = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
 )
 
-polynomials = st.lists(fractions, min_size=0, max_size=4).map(Polynomial)
+polynomials = st.lists(fractions, min_size=0, max_size=4).map(Polynomial.of)
 
 # Denominators (n + c) with c >= 1 have no roots at integer n >= 0, so
 # every generated coefficient is evaluable on the whole test grid.
@@ -49,7 +48,7 @@ safe_denominators = st.one_of(
 )
 
 coefficients = st.builds(
-    lambda num, den: RationalFunction(num, den), polynomials, safe_denominators
+    lambda num, den: num / den, polynomials, safe_denominators
 )
 
 symbols = st.builds(
@@ -95,7 +94,7 @@ def test_canonicalization_is_idempotent(cf):
     assert ClosedForm(cf.constant, cf.terms) == cf
     assert ClosedForm(cf.constant, dict(cf.terms)) == cf
     for _, coeff in cf.terms:
-        assert RationalFunction(coeff.num, coeff.den) == coeff
+        assert coeff.num / coeff.den == coeff
         assert coeff.den.leading == 1
 
 
@@ -221,7 +220,7 @@ def reference_compose_linear(poly, a, b):
     for c in reversed(poly.coeffs):
         acc = reference_product(acc, [Fraction(b), Fraction(a)]) or [Fraction(0)]
         acc[0] += c
-    return Polynomial(acc)
+    return Polynomial.of(acc)
 
 
 def reference_evaluate(poly, x):
@@ -258,11 +257,11 @@ def assert_layout(poly):
     assert gcd(poly.den, *poly.nums) == 1
     assert not poly.nums or poly.nums[-1] != 0
     assert poly.nums or poly.den == 1
-    again = Polynomial(poly.coeffs)
+    again = Polynomial.of(poly.coeffs)
     assert again == poly and hash(again) == hash(poly)
 
 
-kernel_polynomials = st.lists(fractions, min_size=0, max_size=9).map(Polynomial)
+kernel_polynomials = st.lists(fractions, min_size=0, max_size=9).map(Polynomial.of)
 
 points = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
 scalars = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
@@ -274,18 +273,19 @@ scalars = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
 @example([Fraction(2, 3), 0, 4, 0, 0], -6)
 def test_layout_is_canonical_for_any_scaling(coeffs, den):
     # the same polynomial given as Fractions, or as integers over a denominator
-    poly = Polynomial([Fraction(c, den) for c in coeffs])
-    scaled = Polynomial([c * abs(den) for c in coeffs], den * abs(den))
+    poly = Polynomial.of([Fraction(c, den) for c in coeffs])
+    common = lcm(1, *[c.denominator for c in coeffs])
+    scaled = Polynomial([int(c * common) * abs(den) for c in coeffs], common * den * abs(den))
     assert_layout(poly)
     assert_layout(scaled)
     assert scaled == poly and hash(scaled) == hash(poly)
-    assert poly.coeffs == tuple([c / den for c in Polynomial(coeffs).coeffs])
+    assert poly.coeffs == tuple([c / den for c in Polynomial.of(coeffs).coeffs])
 
 
 @MANY
 @given(kernel_polynomials, kernel_polynomials)
-@example(Polynomial([1, Fraction(1, 2)]), Polynomial([0, Fraction(-1, 2)]))
-@example(Polynomial([Fraction(1, 6)]), Polynomial([Fraction(1, 3), Fraction(1, 4)]))
+@example(Polynomial.of([1, Fraction(1, 2)]), Polynomial.of([0, Fraction(-1, 2)]))
+@example(Polynomial.of([Fraction(1, 6)]), Polynomial.of([Fraction(1, 3), Fraction(1, 4)]))
 def test_sum_and_negation_match_fraction_reference(x, y):
     results = {
         "+": (x + y, reference_sum(x.coeffs, y.coeffs)),
@@ -294,31 +294,31 @@ def test_sum_and_negation_match_fraction_reference(x, y):
     }
     for op, (result, reference) in results.items():
         assert_layout(result)
-        assert result == Polynomial(reference), op
+        assert result == Polynomial.of(reference), op
     assert (x - x).is_zero and (x - x).den == 1
 
 
 @MANY
 @given(kernel_polynomials, scalars)
-@example(Polynomial([Fraction(1, 2), 3]), Fraction(2, 3))
+@example(Polynomial.of([Fraction(1, 2), 3]), Fraction(2, 3))
 @example(Polynomial([4, 6]), Fraction(-1, 2))
 @example(Polynomial([1, 2]), 0)
 def test_scalar_product_and_quotient_match_fraction_reference(poly, c):
     products = (poly * c, c * poly)
     for result in products:
         assert_layout(result)
-        assert result == Polynomial([a * c for a in poly.coeffs])
+        assert result == Polynomial.of([a * c for a in poly.coeffs])
     if c:
         quotient = poly / c
         assert_layout(quotient)
-        assert quotient == Polynomial([a / c for a in poly.coeffs])
+        assert quotient == Polynomial.of([a / c for a in poly.coeffs])
 
 
 @MANY
 @given(kernel_polynomials.filter(bool), fractions)
-@example(Polynomial([Fraction(-3, 2), 1]), Fraction(3, 2))
+@example(Polynomial.of([Fraction(-3, 2), 1]), Fraction(3, 2))
 @example(Polynomial([5]), Fraction(0))
-@example(Polynomial([Fraction(1, 3), 0, 1]), Fraction(-1, 4))
+@example(Polynomial.of([Fraction(1, 3), 0, 1]), Fraction(-1, 4))
 def test_divide_linear_matches_fraction_synthetic_division(poly, root):
     # a drawn poly is rarely divisible, so also divide its multiple by n - root
     multiple = poly * Polynomial.linear(1, -root)
@@ -331,7 +331,7 @@ def test_divide_linear_matches_fraction_synthetic_division(poly, root):
         assert quotient is None
     else:
         assert_layout(quotient)
-        assert quotient == Polynomial(reference)
+        assert quotient == Polynomial.of(reference)
 
 
 @MANY
@@ -339,13 +339,13 @@ def test_divide_linear_matches_fraction_synthetic_division(poly, root):
 @example(Polynomial(), Polynomial([1, 2]))
 def test_product_matches_fraction_convolution(x, y):
     assert_layout(x * y)
-    assert x * y == Polynomial(reference_product(x.coeffs, y.coeffs))
+    assert x * y == Polynomial.of(reference_product(x.coeffs, y.coeffs))
 
 
 @MANY
 @given(kernel_polynomials)
 @example(Polynomial())
-@example(Polynomial([Fraction(1, 2), 0, Fraction(-3, 7)]))
+@example(Polynomial.of([Fraction(1, 2), 0, Fraction(-3, 7)]))
 def test_compose_linear_matches_fraction_horner(poly):
     # a = 0 folds to the constant p(b); negative b arises as LinearArg(a, b - 1)
     for a in range(6):
@@ -358,7 +358,7 @@ def test_compose_linear_matches_fraction_horner(poly):
 @MANY
 @given(kernel_polynomials, st.lists(points, min_size=1, max_size=6))
 @example(Polynomial(), [0, -3, Fraction(2, 5)])
-@example(Polynomial([Fraction(5, 6), 1, Fraction(-1, 4)]), [0, -1, -7, Fraction(-3, 2)])
+@example(Polynomial.of([Fraction(5, 6), 1, Fraction(-1, 4)]), [0, -1, -7, Fraction(-3, 2)])
 def test_evaluate_matches_fraction_horner(poly, xs):
     for x in xs:
         value = poly.evaluate(x)
@@ -400,7 +400,7 @@ def reference_value(pair, x):
 
 
 def assert_canonical(rf):
-    assert RationalFunction(rf.num, rf.den) == rf
+    assert rf.num / rf.den == rf
     assert all(rf.num.evaluate(r) for r, _ in rf.poles)
     assert [r for r, _ in rf.poles] == sorted({r for r, _ in rf.poles})
     assert rf.den.leading == 1
@@ -411,7 +411,7 @@ def assert_canonical(rf):
 @example((Polynomial([1]), Polynomial([1, 1])), (Polynomial([1, 1]), Polynomial([2, 1])), [0, 3])
 @example((Polynomial([-1, 1]), Polynomial([-1, 1])), (Polynomial([1]), Polynomial([-1, 1])), [2])
 def test_pole_arithmetic_matches_fraction_reference(x, y, ts):
-    fx, fy = RationalFunction(*x), RationalFunction(*y)
+    fx, fy = x[0] / x[1], y[0] / y[1]
     results = {
         "+": (fx + fy, lambda u, v: u + v),
         "-": (fx - fy, lambda u, v: u - v),
@@ -439,7 +439,7 @@ def test_pole_arithmetic_matches_fraction_reference(x, y, ts):
     st.lists(points, min_size=1, max_size=4),
 )
 def test_pole_composition_matches_fraction_reference(x, a, b, ts):
-    composed = RationalFunction(*x).compose_linear(a, b)
+    composed = (x[0] / x[1]).compose_linear(a, b)
     assert_canonical(composed)
     for t in ts:
         value = reference_value(x, a * Fraction(t) + b)

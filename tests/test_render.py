@@ -14,7 +14,6 @@ from harmonic_sums import (
     HarmonicSymbol,
     LinearArg,
     Polynomial,
-    RationalFunction,
     closed_form_to_json,
     faulhaber_poly,
     offset_sum_f,
@@ -51,7 +50,7 @@ class TestTextRendering:
         )
 
     def test_rational_function_constant(self):
-        cf = ClosedForm(RationalFunction(1, N + 1))
+        cf = ClosedForm(1 / (N + 1))
         assert render(cf) == "(1)/((n+1))"
 
 
@@ -75,7 +74,7 @@ class TestPolynomialDisplay:
         assert polynomial_text(poly) == "n(n+1)(72n^3+243n^2+167n-32)"
 
     def test_constant_polynomial(self):
-        assert polynomial_text(Polynomial([Fraction(-3, 4)])) == "-3/4"
+        assert polynomial_text(Polynomial.of([Fraction(-3, 4)])) == "-3/4"
         assert polynomial_text(Polynomial()) == "0"
 
 
@@ -147,8 +146,8 @@ class TestJsonContract:
         yield sum_g(4, 3)
         yield offset_sum_f(3, 2, LinearArg(2, 1))
         yield ClosedForm(
-            RationalFunction(N + 1, 2 * N + 3),
-            {HarmonicSymbol(LinearArg(3, -2), 4): RationalFunction(1, N + 5)},
+            (N + 1) / (2 * N + 3),
+            {HarmonicSymbol(LinearArg(3, -2), 4): 1 / (N + 5)},
         )
 
     def test_round_trip(self):
