@@ -17,6 +17,7 @@ any verification cell fails, 2 on invalid usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterator, Sequence
@@ -82,6 +83,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+# Built once per process: in-process callers run `main` many times, and
+# `parse_args` writes into a fresh Namespace on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmsum",

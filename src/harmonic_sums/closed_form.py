@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .exact import int_pow
@@ -219,13 +220,29 @@ def harmonic_term(arg: LinearArg, order: int) -> ClosedForm:
 
 
 def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
-    """Exact value of the closed form at an integer n >= 0."""
+    """Exact value of the closed form at an integer n >= 0.
+
+    Each part is an unreduced integer pair (num, den): the constant's
+    ``value_at`` pair, and each coefficient's pair times its harmonic
+    value's numerator and denominator. The numerators are scaled to the
+    common denominator D, the running lcm of the den, summed as integers,
+    and the sum is reduced once. Raises ``PoleError`` at a coefficient's pole.
+    """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
-    total = cf.constant.evaluate(n)
+    parts = [cf.constant.value_at(n)]
     for sym, coeff in cf.terms:
-        total += coeff.evaluate(n) * harmonic_value(sym.arg.at(n), sym.order)
-    return total
+        num, den = coeff.value_at(n)
+        h = harmonic_value(sym.arg.at(n), sym.order)
+        parts.append((num * h.numerator, den * h.denominator))
+    common = 1
+    for _, den in parts:
+        if common % den:
+            common = lcm(common, den)
+    total = 0
+    for num, den in parts:
+        total += num * (common // den)
+    return Fraction(total, common)
 
 
 def substitute_n(cf: ClosedForm, t: LinearArg) -> ClosedForm:

@@ -194,20 +194,25 @@ class Polynomial:
         quot.reverse()
         return Polynomial(quot, self.den)
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at x = p/q by integer Horner with one final division.
+    def value_at(self, x: Scalar) -> tuple[int, int]:
+        """The value at x = p/q as an unreduced pair (num, den), den > 0.
 
-        Accumulates sum nums[i] * p**i * q**(deg-i), then divides by den * q**deg.
+        Homogeneous integer Horner: num = sum nums[i] * p**i * q**(deg-i)
+        and den = self.den * q**deg.
         """
         nums = self.nums
         if not nums:
-            return Fraction(0)
+            return 0, 1
         p, q = x.numerator, x.denominator
         acc, q_power = nums[-1], 1
         for c in reversed(nums[:-1]):
             q_power *= q
             acc = acc * p + c * q_power
-        return Fraction(acc, self.den * q_power)
+        return acc, self.den * q_power
+
+    def evaluate(self, x: Scalar) -> Fraction:
+        """Exact value at x, with one reduction of ``value_at``'s pair."""
+        return Fraction(*self.value_at(x))
 
     def compose_linear(self, a: int, b: int) -> Polynomial:
         """The polynomial p(a*n + b), expanded and canonical.
@@ -397,13 +402,28 @@ class RationalFunction:
     def __rtruediv__(self, other: Polynomial | Scalar) -> RationalFunction:
         return _as_rf(other) / self
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        value = self.num.evaluate(x)
+    def value_at(self, x: Scalar) -> tuple[int, int]:
+        """The value at x = p/q as an unreduced pair (num, den), den > 0.
+
+        Starts from the numerator's pair; a pole r = rp/rq contributes
+        x - r = (p*rq - rp*q) / (q*rq), so the pair gains (q*rq)**e above
+        and (p*rq - rp*q)**e below. Raises ``PoleError`` at a pole.
+        """
+        num, den = self.num.value_at(x)
+        p, q = x.numerator, x.denominator
         for r, e in self.poles:
-            if x == r:
+            rq = r.denominator
+            gap = p * rq - r.numerator * q
+            if not gap:
                 raise PoleError(f"pole at n = {x}")
-            value /= (x - r) ** e
-        return value
+            num *= (q * rq) ** e
+            den *= gap**e
+        return (num, den) if den > 0 else (-num, -den)
+
+    def evaluate(self, x: Scalar) -> Fraction:
+        """Exact value at x: ``value_at``'s pair, reduced once.
+        Raises ``PoleError`` at a pole."""
+        return Fraction(*self.value_at(x))
 
     def compose_linear(self, a: int, b: int) -> RationalFunction:
         """self(a*n + b). A pole r moves to (r - b)/a, since

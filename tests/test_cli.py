@@ -485,3 +485,46 @@ class TestAuxiliaryCommands:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "sum_(k=1..n) k^2 = 1/6 n(n+1)(2n+1)"
+
+
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_default_returns_after_an_explicit_value(self, capsys):
+        code, out = run(capsys, "bernoulli", "--n-max", "3")
+        assert code == 0 and out.splitlines()[-1] == "B+(3) = 0"
+        code, out = run(capsys, "bernoulli")
+        assert code == 0 and out.splitlines()[-1] == "B+(12) = -691/2730"
+
+    def test_verify_filters_reset_between_calls(self, capsys):
+        code, out = run(capsys, "verify", "--p", "1", "--n-max", "2")
+        assert code == 0
+        assert out.startswith("family F: p in 1..1, m in 1..5, s in {0}, n in 0..2: 15 cells")
+        code, out = run(capsys, "verify", "--family", "g", "--n-max", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "family G: p in 0..6, m in 1..5, s in {0}, n in 0..1: "
+            "70 cells, 70 passed, 0 failed",
+            "all identities verified",
+        ]
+
+    @pytest.mark.parametrize(
+        "refused",
+        [("verify", "--p", str(cli.MAX_P + 1)), ("verify", "--p", "x"), ("nonesuch",)],
+        ids=["bound", "type", "command"],
+    )
+    def test_refused_call_leaves_the_parser_usable(self, capsys, refused):
+        with pytest.raises(SystemExit) as exc:
+            main(list(refused))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: harmsum")
+        code, out = run(capsys, "verify", "--p", "0", "--m", "1", "--n-max", "1", "--format", "json")
+        assert code == 0
+        grids = json.loads(out)["grids"]
+        assert [(g["family"], g["p_range"], g["total"]) for g in grids] == [
+            ("F", [0, 0], 2),
+            ("G", [0, 0], 2),
+        ]

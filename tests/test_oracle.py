@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_sums import closed_form, oracle
+from harmonic_sums import closed_form, identities, oracle
 from harmonic_sums import (
     ClosedForm,
     LinearArg,
@@ -150,12 +150,10 @@ class TestVerifyGrid:
         assert all(row.rhs - row.lhs == 1 for row in rows)
 
 
-def test_oracle_imports_no_summation_code():
-    # the oracle must stay independent of the constructors it checks: nothing
-    # from the algebra, the builders or the renderer, only the power choke
-    # point and the closed-form type it evaluates
-    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "evaluate_cf"}}
-    with open(oracle.__file__, encoding="utf-8") as source:
+def package_imports(module) -> dict[str, set[str]]:
+    """The names a module's source imports from harmonic_sums, by submodule
+    ("*" for a whole module), read from its syntax tree, lazy imports included."""
+    with open(module.__file__, encoding="utf-8") as source:
         tree = ast.parse(source.read())
     imported: dict[str, set[str]] = {}
     for node in ast.walk(tree):
@@ -164,13 +162,29 @@ def test_oracle_imports_no_summation_code():
                 if alias.name.split(".")[0] == "harmonic_sums":
                     imported.setdefault(alias.name.partition(".")[2] or "*", set()).add("*")
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and module.split(".")[0] != "harmonic_sums":
+            module_name = node.module or ""
+            if node.level == 0 and module_name.split(".")[0] != "harmonic_sums":
                 continue  # the standard library
-            module = module.removeprefix("harmonic_sums").lstrip(".")
+            module_name = module_name.removeprefix("harmonic_sums").lstrip(".")
             for alias in node.names:
-                if module:
-                    imported.setdefault(module, set()).add(alias.name)
+                if module_name:
+                    imported.setdefault(module_name, set()).add(alias.name)
                 else:  # from . import polynomial
                     imported.setdefault(alias.name, set()).add("*")
-    assert imported == allowed
+    return imported
+
+
+def test_oracle_imports_no_summation_code():
+    # the oracle must stay independent of the constructors it checks: nothing
+    # from the algebra, the builders or the renderer, only the power choke
+    # point and the closed-form type it evaluates
+    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "evaluate_cf"}}
+    assert package_imports(oracle) == allowed
+
+
+@pytest.mark.parametrize("module", [closed_form, identities], ids=lambda m: m.__name__)
+def test_summation_code_imports_nothing_from_the_oracle(module):
+    # the other direction: the constructors and the evaluation they are
+    # checked with keep their own integer accumulation, not the oracle's
+    assert "oracle" not in package_imports(module)
+    assert package_imports(module)  # the walk does see the package's imports

@@ -3,25 +3,30 @@
 Each of the four core properties (basis-shift value preservation,
 substitution/evaluation commutation, canonicalization idempotence, and
 the offset-splitting law for direct harmonic numbers) runs on at least
-200 generated instances. The oracle's integer accumulation in
-``lhs_direct``, the integer polynomial kernels (sum, negation,
+200 generated instances. The integer accumulation of ``lhs_direct`` and of
+``evaluate_cf``, the integer polynomial kernels (sum, negation,
 scalar product and quotient, product, division by a linear factor, linear
-composition, evaluation) and the pole arithmetic of rational functions
-are checked against Fraction reference implementations kept in this file,
-and every kernel result is checked for the canonical integer layout.
+composition, evaluation), the pole arithmetic of rational functions and
+their integer evaluation are checked against Fraction reference
+implementations kept in this file, and every kernel result is checked for
+the canonical integer layout.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from harmonic_sums import (
     ClosedForm,
     HarmonicSymbol,
     LinearArg,
+    PoleError,
     Polynomial,
+    RationalFunction,
+    build_closed_form,
     evaluate_cf,
     harmonic_direct,
     lhs_direct,
@@ -445,3 +450,110 @@ def test_pole_composition_matches_fraction_reference(x, a, b, ts):
         value = reference_value(x, a * Fraction(t) + b)
         if value is not None:
             assert composed.evaluate(t) == value, t
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation of rational functions and closed forms against the
+# term-by-term Fraction loop
+
+
+def reference_rf_value(rf, x):
+    """num(x) divided by (x - r)**e once per pole, in Fractions."""
+    value = reference_evaluate(rf.num, Fraction(x))
+    for r, e in rf.poles:
+        if x == r:
+            raise PoleError(f"pole at n = {x}")
+        value /= (x - r) ** e
+    return value
+
+
+def reference_harmonic(c, order):
+    total = Fraction(0)
+    for k in range(1, c + 1):
+        total += Fraction(1, k**order)
+    return total
+
+
+def reference_evaluate_cf(cf, n):
+    """The constant plus one Fraction product and addition per term."""
+    total = reference_rf_value(cf.constant, n)
+    for sym, coeff in cf.terms:
+        total += reference_rf_value(coeff, n) * reference_harmonic(sym.arg.at(n), sym.order)
+    return total
+
+
+# integer roots in 0..12 are hit by the evaluation points n below
+pole_roots = st.one_of(
+    st.integers(min_value=0, max_value=12).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+pole_functions = st.builds(
+    RationalFunction,
+    polynomials,
+    st.dictionaries(pole_roots, st.integers(min_value=1, max_value=3), max_size=3).map(
+        lambda poles: sorted(poles.items())
+    ),
+)
+
+
+@MANY
+@given(pole_functions, st.lists(points, min_size=1, max_size=4))
+# x - r = -5 to an odd power: the denominator's sign is normalised
+@example(RationalFunction(Polynomial([1]), [(Fraction(5), 1)]), [0, Fraction(1, 2)])
+@example(RationalFunction(Polynomial([2, 3]), [(Fraction(-1, 3), 3), (Fraction(4), 2)]), [1, -2])
+def test_rational_value_at_matches_fraction_reference(rf, xs):
+    poles = [r for r, _ in rf.poles]
+    for x in xs + poles:
+        if x in poles:
+            for evaluate in (rf.value_at, rf.evaluate):
+                with pytest.raises(PoleError):
+                    evaluate(x)
+            continue
+        want = reference_rf_value(rf, x)
+        num, den = rf.value_at(x)
+        assert type(num) is int and type(den) is int and den > 0, x
+        assert Fraction(num, den) == want, x
+        assert rf.evaluate(x) == want, x
+
+
+built_forms = st.builds(
+    build_closed_form,
+    st.sampled_from("FG"),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-3, max_value=5),
+    st.builds(
+        LinearArg, st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=3)
+    ),
+)
+
+
+@MANY
+@given(built_forms, st.sets(symbols, max_size=3), st.integers(min_value=0, max_value=15))
+@example(build_closed_form("G", 3, 2, LinearArg(2, 1)), set(), 7)
+def test_evaluate_cf_matches_fraction_reference_on_built_forms(cf, shifted_symbols, n):
+    # the constructors' own output, and its basis shift, which adds poles
+    # to the constant
+    targets = frozenset(sym.arg.shifted(1) for sym in shifted_symbols)
+    for form in (cf, shift_basis(cf, targets)):
+        assert evaluate_cf(form, n) == reference_evaluate_cf(form, n)
+
+
+@MANY
+@given(
+    pole_functions,
+    st.dictionaries(symbols, pole_functions, max_size=3),
+    st.integers(min_value=0, max_value=12),
+)
+@example(
+    RationalFunction(Polynomial([1]), [(Fraction(3), 1)]),
+    {HarmonicSymbol(LinearArg(1, 0), 2): RationalFunction(Polynomial([1, 1]), [(Fraction(-1, 2), 1)])},
+    3,
+)
+def test_evaluate_cf_matches_fraction_reference_with_poles(constant, terms, n):
+    cf = ClosedForm(constant, terms)
+    poles = {r for rf in (cf.constant, *(c for _, c in cf.terms)) for r, _ in rf.poles}
+    if n in poles:
+        with pytest.raises(PoleError):
+            evaluate_cf(cf, n)
+    else:
+        assert evaluate_cf(cf, n) == reference_evaluate_cf(cf, n)
