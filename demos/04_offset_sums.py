@@ -2,8 +2,9 @@
 
 Sums like sum_{k=0}^n k**p H_{n+k} or sum k**p H_{2n+k} reduce to the
 plain families evaluated at shifted arguments. The closed forms live on
-the symbol pair H_{(a+1)n+b+1} and H_{an+b}; with s = 0 they collapse
-exactly onto the plain sums (the k = 0 term survives via 0**0 = 1).
+the symbol pair H_{(a+1)n+b+1} and H_{an+b}; the plain sums are the
+offset sums at s = 0 by construction (sum_f(p, m) is
+offset_sum_f(p, m, LinearArg(0, 0))), where H_{n+1} alone is the basis.
 """
 
 from fractions import Fraction
@@ -37,7 +38,7 @@ for p in (0, 1, 2):
     print(f"  sum {weight}H_(2n-k) = {render(cf)}")
 print()
 
-print("Zero offset collapses to the plain family, canonically:")
+print("Zero offset is the plain family, by construction:")
 assert offset_sum_f(3, 2, LinearArg(0, 0)) == sum_f(3, 2)
 print("  offset_sum_f(3, 2, s=0) == sum_f(3, 2)")
 print()

@@ -52,18 +52,10 @@ def _power_text(p: int, latex: bool) -> str:
 
 
 def _summand_arg(kind: str, offset: LinearArg) -> str:
-    if kind == "f":
-        slope, shift, tail = offset.a, offset.b, "+k"
-    else:
-        slope, shift, tail = offset.a + 1, offset.b, "-k"
-    if slope == 0:
-        body = str(shift) if shift else ""
-    else:
-        head = "n" if slope == 1 else f"{slope}n"
-        body = head + (f"{shift:+d}" if shift else "")
-    if not body:
-        return tail[1:]  # plain k
-    return body + tail
+    body = str(LinearArg(offset.a + (kind == "g"), offset.b))
+    if body == "0":
+        return "k"  # plain k, only for family f at the zero offset
+    return body + ("-k" if kind == "g" else "+k")
 
 
 def catalog_entries() -> list[CatalogEntry]:

@@ -40,11 +40,13 @@ from .render import (
 # Hard bounds on user-supplied parameters, enforced before dispatch.
 # MAX_P and MAX_M bound --p and --m of `identity` and `verify`, which build
 # closed forms: at p = MAX_P the slowest accepted identities (family g, at
-# m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 2.8 s on a
-# 2-core machine, within a 10 s budget. `faulhaber` builds one power-sum
-# polynomial only; at MAX_FAULHABER_P it takes about 3 s. `bernoulli` up to
-# MAX_BERNOULLI_N takes about 5 s; both are dominated by the Bernoulli
-# triangle, whose cost grows like n**3 (B_0..B_3000 takes 5-6 s).
+# m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 2.1 s on a
+# 2-core machine, and the slowest `verify` calls (both families, n 0..40, at
+# s = 10n+10 or at MAX_M and 10n+9) 4.5-6 s, within a 10 s budget.
+# `faulhaber` builds one power-sum polynomial only; at MAX_FAULHABER_P it
+# takes about 3 s. `bernoulli` up to MAX_BERNOULLI_N takes about 5 s; both
+# are dominated by the Bernoulli triangle, whose cost grows like n**3
+# (B_0..B_3000 takes 5-6 s).
 MAX_ORDER_BELOW = -10
 MAX_M = 40
 MAX_OFFSET = 10

@@ -12,13 +12,15 @@ then shifted onto the presentation basis (H_{n+1} for the plain sums;
 H_{(a+1)n+b+1} together with H_{an+b} for the offset sums). The
 ``offset_harmonic`` flag switches the offset constructors to the sums over
 H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m), which differ by an explicit
-H_s^(m)-weighted correction.
+H_s^(m)-weighted correction. One kernel, _binomial_sum (Horner in -s or n+1),
+reduces both offset families to the plain ones, which are their s = 0 case.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Callable
 
 from .closed_form import (
     ClosedForm,
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 _ARG_N = LinearArg(1, 0)
+_ZERO_OFFSET = LinearArg(0, 0)
 
 
 def _require_exponent(p: int) -> None:
@@ -55,8 +58,8 @@ def _require_offset(s: LinearArg) -> None:
 
 # The two term builders are memoized for runs that build many rows in one
 # process, such as `harmsum table` and the default `harmsum verify` grid.
-# offset_sum_f(p, m, s) needs _sum_f_terms(p - k, m) for k = 0..p, and
-# offset_sum_g(p, m, s) needs _sum_g_terms(k, m), so every row with the same
+# offset_sum_f(p, m, s) needs _sum_f_terms(i, m) for i = 0..p, and
+# offset_sum_g(p, m, s) needs _sum_g_terms(i, m), so every row with the same
 # m asks again for the forms that rows of lower p already built. A single
 # identity repeats almost none of its requests. The builders are pure and
 # their forms are never mutated. Each cache keeps at most _TERMS_CACHE_SIZE
@@ -91,14 +94,12 @@ def _sum_g_terms(p: int, m: int) -> ClosedForm:
 
 def sum_f(p: int, m: int) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_k^(m), over the H_{n+1} basis."""
-    _require_exponent(p)
-    return shift_basis(_sum_f_terms(p, m))
+    return offset_sum_f(p, m, _ZERO_OFFSET)
 
 
 def sum_g(p: int, m: int) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_{n-k}^(m), over the H_{n+1} basis."""
-    _require_exponent(p)
-    return shift_basis(_sum_g_terms(p, m))
+    return offset_sum_g(p, m, _ZERO_OFFSET)
 
 
 def offset_basis(s: LinearArg) -> frozenset[LinearArg]:
@@ -107,6 +108,17 @@ def offset_basis(s: LinearArg) -> frozenset[LinearArg]:
     if s.a >= 1:
         targets.add(s)
     return frozenset(targets)
+
+
+def _binomial_sum(
+    p: int, x: Polynomial, piece: Callable[[int], ClosedForm]
+) -> ClosedForm:
+    """sum_{i=0}^p C(p,i) x**(p-i) piece(i), by Horner in x with each step's
+    binomial ratio C(p,i-1)/C(p,i) = i/(p-i+1) folded into x."""
+    total = piece(0)
+    for i in range(1, p + 1):
+        total = total.scale(x * Fraction(i, p - i + 1)) + piece(i)
+    return total
 
 
 def offset_sum_f(
@@ -119,20 +131,13 @@ def offset_sum_f(
     """
     _require_exponent(p)
     _require_offset(s)
-    s_poly = s.as_poly()
-    total = ClosedForm.zero()
-    s_power = Polynomial((1,))  # s**0, honoring 0**0 = 1 when s = 0
-    for k in range(p + 1):
-        if s_power.is_zero:
-            break  # s = 0: every later term carries the factor s**k = 0
-        plain = _sum_f_terms(p - k, m)
-        upper = substitute_n(plain, LinearArg(s.a + 1, s.b))
-        if s.a == 0 and s.b == 0:
-            lower = ClosedForm.zero()  # empty sum below the offset
-        else:
-            lower = substitute_n(plain, LinearArg(s.a, s.b - 1))
-        total = total + (upper - lower).scale(s_power * ((-1) ** k * binomial(p, k)))
-        s_power = s_power * s_poly
+    if s == _ZERO_OFFSET:  # the plain sum: no pieces below the offset
+        total = _sum_f_terms(p, m)
+    else:
+        upper, lower = LinearArg(s.a + 1, s.b), LinearArg(s.a, s.b - 1)
+        total = _binomial_sum(p, -s.as_poly(), lambda i: (
+            substitute_n(_sum_f_terms(i, m), upper) - substitute_n(_sum_f_terms(i, m), lower)
+        ))
     if offset_harmonic:
         total = total - _offset_correction(p, m, s)
     return shift_basis(total, offset_basis(s))
@@ -145,12 +150,11 @@ def offset_sum_g(
     _require_exponent(p)
     _require_offset(s)
     total = substitute_n(_sum_g_terms(p, m), LinearArg(s.a + 1, s.b))
-    shift = Polynomial.linear(1, 1)  # n + 1
-    for k in range(p + 1):
-        if s.a == 0 and s.b == 0:
-            break  # every lower piece is the empty sum
-        lower = substitute_n(_sum_g_terms(k, m), LinearArg(s.a, s.b - 1))
-        total = total - lower.scale(shift ** (p - k) * binomial(p, k))
+    if s != _ZERO_OFFSET:  # the plain sum has no pieces below the offset
+        lower = LinearArg(s.a, s.b - 1)
+        total = total - _binomial_sum(p, Polynomial.linear(1, 1), lambda i: (
+            substitute_n(_sum_g_terms(i, m), lower)
+        ))
     if offset_harmonic:
         total = total - _offset_correction(p, m, s)
     return shift_basis(total, offset_basis(s))

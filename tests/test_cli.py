@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, output files."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,25 +84,30 @@ class TestIdentity:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,digest",
         [
             # the slowest accepted identity: family g, m = -10, s = 10n+10, p = MAX_P
-            ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", "-10",
-             "--offset-a", "10", "--offset-b", "10", "--format", "json"],
-            ["faulhaber", "--p", str(cli.MAX_FAULHABER_P), "--format", "json"],
+            (["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", "-10",
+              "--offset-a", "10", "--offset-b", "10", "--format", "json"],
+             "15099bc3859ec2c6383141bcb0e3f6ca6265c62bf5667c348f31257ebe0350c6"),
+            (["faulhaber", "--p", str(cli.MAX_FAULHABER_P), "--format", "json"], None),
             # the largest accepted order at p = MAX_P, offset 10n+9 (b != a)
-            ["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", str(cli.MAX_M),
-             "--offset-a", "10", "--offset-b", "9", "--format", "json"],
+            (["identity", "--family", "g", "--p", str(cli.MAX_P), "--m", str(cli.MAX_M),
+              "--offset-a", "10", "--offset-b", "9", "--format", "json"],
+             "ed6d303713ac6b197dadcfebe3e0c48c077e9697598cc84805d715db7e23a0a9"),
         ],
         ids=["identity", "faulhaber", "identity-max-m"],
     )  # fmt: skip
-    def test_largest_accepted_p_finishes(self, argv):
+    def test_largest_accepted_p_finishes(self, argv, digest):
         result = subprocess.run(
             [sys.executable, "-m", "harmonic_sums", *argv],
             capture_output=True, text=True, timeout=30,
         )  # fmt: skip
         assert result.returncode == 0
         assert json.loads(result.stdout)["p"] == int(argv[argv.index("--p") + 1])
+        if digest is not None:
+            # the exact bytes of the p = MAX_P identities, pinned across refactors
+            assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
     def test_largest_accepted_bernoulli_n_finishes(self):
         result = subprocess.run(

@@ -10,7 +10,10 @@ import known_identities as known
 from harmonic_sums import identities
 from harmonic_sums.polynomial import ROOT_BOUND
 from harmonic_sums import (
+    ClosedForm,
     LinearArg,
+    Polynomial,
+    binomial,
     build_closed_form,
     corollary_rows,
     evaluate_cf,
@@ -19,11 +22,14 @@ from harmonic_sums import (
     harmonic_direct,
     int_pow,
     lhs_direct,
+    offset_basis,
     offset_sum_f,
     offset_sum_g,
     parse_closed_form,
     render,
     sbp_rows,
+    shift_basis,
+    substitute_n,
     sum_f,
     sum_g,
 )
@@ -157,6 +163,50 @@ class TestOffsetSums:
         assert build_closed_form("G", 2, 1, S0) == sum_g(2, 1)
         with pytest.raises(ValueError):
             build_closed_form("x", 0, 1, S0)
+
+
+def power_expansion(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
+    """The offset sums as explicit binomial expansions in powers of the shift.
+
+    A reference for the Horner kernel: family F is
+    sum_k (-1)**k C(p,k) s**k [F_{p-k}(s+n) - F_{p-k}(s-1)], family G is
+    G_p(s+n) - sum_k C(p,k) (n+1)**(p-k) G_k(s-1), for a nonzero offset s.
+    """
+    upper, lower = LinearArg(s.a + 1, s.b), LinearArg(s.a, s.b - 1)
+    if family == "F":
+        total = ClosedForm.zero()
+        for k in range(p + 1):
+            plain = identities._sum_f_terms(p - k, m)
+            piece = substitute_n(plain, upper) - substitute_n(plain, lower)
+            total = total + piece.scale(s.as_poly() ** k * ((-1) ** k * binomial(p, k)))
+    else:
+        total = substitute_n(identities._sum_g_terms(p, m), upper)
+        for k in range(p + 1):
+            piece = substitute_n(identities._sum_g_terms(k, m), lower)
+            total = total - piece.scale(Polynomial.linear(1, 1) ** (p - k) * binomial(p, k))
+    return shift_basis(total, offset_basis(s))
+
+
+class TestBinomialKernel:
+    """_binomial_sum against the power expansion it replaces."""
+
+    @pytest.mark.parametrize("family,builder", [("F", offset_sum_f), ("G", offset_sum_g)])
+    @pytest.mark.parametrize(
+        "s", [LinearArg(0, 7), LinearArg(1, 0), LinearArg(10, 9), LinearArg(10, 10)], ids=str
+    )
+    @pytest.mark.parametrize("m", [-2, 1, 3])
+    @pytest.mark.parametrize("p", [0, 1, 7, 20])
+    def test_matches_power_expansion(self, p, m, s, family, builder):
+        assert builder(p, m, s) == power_expansion(family, p, m, s)
+
+    @pytest.mark.parametrize("p", range(7))
+    def test_kernel_is_the_binomial_sum(self, p):
+        x = Polynomial.linear(2, -3)
+        pieces = [ClosedForm(Polynomial.of((i * i + 1, -i))) for i in range(p + 1)]
+        expected = ClosedForm.zero()
+        for i, piece in enumerate(pieces):
+            expected = expected + piece.scale(x ** (p - i) * binomial(p, i))
+        assert identities._binomial_sum(p, x, pieces.__getitem__) == expected
 
 
 class TestMemoizedTermBuilders:
