@@ -10,6 +10,7 @@ Commands:
     faulhaber   power-sum polynomials
 
 Every command takes ``--format {text,latex,json}`` and ``--output PATH``.
+Each handler returns its exit code and payload; ``main`` alone writes it.
 Exit codes: 0 on success (for verify/check: all identities hold), 1 when
 any verification cell fails, 2 on invalid usage.
 """
@@ -19,8 +20,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .catalog import catalog_entries
 from .closed_form import ClosedForm, LinearArg
@@ -37,7 +39,7 @@ from .render import (
     render,
 )
 
-# Hard bounds on user-supplied parameters, enforced before dispatch.
+# Hard bounds on user-supplied parameters, each checked as its argument is parsed.
 # MAX_P and MAX_M bound --p and --m of `identity` and `verify`, which build
 # closed forms: at p = MAX_P the slowest accepted identities (family g, at
 # m = -10 or MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 2.1 s on a
@@ -67,6 +69,9 @@ DEFAULT_GRID = {
 SBP_M_RANGE = (-2, 3)
 SBP_W_RANGE = (-3, 3)
 
+# A handler's exit code, and its JSON payload (--format json) or lines of text
+Result = tuple[int, dict | list[str]]
+
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
@@ -75,14 +80,32 @@ def entrypoint() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
         sys.set_int_max_str_digits(0)  # exact values may have any number of digits
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _validate(parser, args)
-        return args.handler(args)
+        code, out = args.handler(args)
+        text = json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                print(text, file=handle)
+        else:
+            print(text)
+        return code
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _in(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """An argparse type: an int in [low, high], else a usage error (exit 2)."""
+
+    def bounded(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {value}")
+        return value
+
+    bounded.__name__ = "int"  # argparse names the type when it refuses a non-integer
+    return bounded
 
 
 # Built once per process: in-process callers run `main` many times, and
@@ -95,39 +118,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, handler: Callable[..., Result], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument(
-            "--format",
-            choices=FORMATS,
-            default="text",
-            help="output format (default: text)",
+            "--format", choices=FORMATS, default="text", help="output format (default: text)"
         )
         p.add_argument("--output", metavar="PATH", help="write to file instead of stdout")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_id = sub.add_parser("identity", help="closed form for one weighted harmonic sum")
+    # `identity` and `verify` build closed forms, under the same bounds
+    p_type, m_type, offset_type = _in(0, MAX_P), _in(MAX_ORDER_BELOW, MAX_M), _in(0, MAX_OFFSET)
+
+    p_id = command("identity", _cmd_identity, "closed form for one weighted harmonic sum")
     p_id.add_argument("--family", choices=("f", "g"), required=True)
-    p_id.add_argument("--p", type=int, required=True, help="power exponent (>= 0)")
-    p_id.add_argument("--m", type=int, required=True, help="harmonic order")
-    p_id.add_argument("--offset-a", type=int, default=0, help="offset slope a in s = a*n+b")
-    p_id.add_argument("--offset-b", type=int, default=0, help="offset shift b in s = a*n+b")
-    add_common(p_id)
-    p_id.set_defaults(handler=_cmd_identity)
+    p_id.add_argument("--p", type=p_type, required=True, help="power exponent (>= 0)")
+    p_id.add_argument("--m", type=m_type, required=True, help="harmonic order")
+    p_id.add_argument("--offset-a", type=offset_type, default=0, help="offset slope a in s = a*n+b")
+    p_id.add_argument("--offset-b", type=offset_type, default=0, help="offset shift b in s = a*n+b")
 
-    p_table = sub.add_parser("table", help="emit the full identity catalogue")
-    add_common(p_table)
-    p_table.set_defaults(handler=_cmd_table)
+    command("table", _cmd_table, "emit the full identity catalogue")
 
-    p_verify = sub.add_parser("verify", help="verify closed forms against brute force")
+    p_verify = command("verify", _cmd_verify, "verify closed forms against brute force")
     p_verify.add_argument("--family", choices=("f", "g", "both"), default=None)
-    p_verify.add_argument("--p", type=int, default=None)
-    p_verify.add_argument("--m", type=int, default=None)
-    p_verify.add_argument("--offset-a", type=int, default=None)
-    p_verify.add_argument("--offset-b", type=int, default=None)
-    p_verify.add_argument("--n-max", type=int, default=None)
-    add_common(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.add_argument("--p", type=p_type, default=None)
+    p_verify.add_argument("--m", type=m_type, default=None)
+    p_verify.add_argument("--offset-a", type=offset_type, default=None)
+    p_verify.add_argument("--offset-b", type=offset_type, default=None)
+    p_verify.add_argument("--n-max", type=_in(0, MAX_N), default=None)
 
-    p_check = sub.add_parser("check", help="summation-by-parts and corollary checks")
+    p_check = command("check", _cmd_check, "summation-by-parts and corollary checks")
     p_check.add_argument("--sbp", action="store_true", help="run the summation-by-parts sweep")
     p_check.add_argument(
         "--corollary",
@@ -135,92 +155,70 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the weighted-sum corollary checks",
     )
-    p_check.add_argument("--m", type=int, default=None, help="restrict sbp to one order")
+    p_check.add_argument(  # a sweep order, not a closed-form build: bounded below only
+        "--m", type=_in(MAX_ORDER_BELOW), default=None, help="restrict sbp to one order"
+    )
     p_check.add_argument("--w", type=int, default=None, help="restrict sbp to one weight exponent")
-    p_check.add_argument("--n-max", type=int, default=None)
-    add_common(p_check)
-    p_check.set_defaults(handler=_cmd_check)
+    p_check.add_argument("--n-max", type=_in(0, MAX_N), default=None)
 
-    p_bern = sub.add_parser("bernoulli", help="Bernoulli numbers, B_1 = +1/2 convention")
-    p_bern.add_argument("--n-max", type=int, default=12, help="highest index to print")
-    add_common(p_bern)
-    p_bern.set_defaults(handler=_cmd_bernoulli)
+    p_bern = command("bernoulli", _cmd_bernoulli, "Bernoulli numbers, B_1 = +1/2 convention")
+    p_bern.add_argument(
+        "--n-max", type=_in(0, MAX_BERNOULLI_N), default=12, help="highest index to print"
+    )
 
-    p_fh = sub.add_parser("faulhaber", help="power-sum polynomial for one exponent")
-    p_fh.add_argument("--p", type=int, required=True, help="power exponent (>= 0)")
-    add_common(p_fh)
-    p_fh.set_defaults(handler=_cmd_faulhaber)
+    p_fh = command("faulhaber", _cmd_faulhaber, "power-sum polynomial for one exponent")
+    p_fh.add_argument(
+        "--p", type=_in(0, MAX_FAULHABER_P), required=True, help="power exponent (>= 0)"
+    )
 
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Exit 2 on a parameter out of bounds; `check --m`, a sweep order, has no upper one."""
-    bounds = {
-        "p": (0, MAX_FAULHABER_P if args.command == "faulhaber" else MAX_P),
-        "m": (MAX_ORDER_BELOW, float("inf") if args.command == "check" else MAX_M),
-        "offset_a": (0, MAX_OFFSET),
-        "offset_b": (0, MAX_OFFSET),
-        "n_max": (0, MAX_BERNOULLI_N if args.command == "bernoulli" else MAX_N),
-    }
-    for name, (low, high) in bounds.items():
-        value = getattr(args, name, None)
-        if value is not None and not (low <= value <= high):
-            parser.error(f"--{name.replace('_', '-')} must be in [{low}, {high}], got {value}")
+def _offset_json(s: LinearArg) -> dict:
+    return {"a": s.a, "b": s.b}
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def _failure_json(row: CheckRow) -> dict:
+    return {"n": row.n, "lhs": fraction_to_json(row.lhs), "rhs": fraction_to_json(row.rhs)}
 
 
-def _identity_payload(family: str, p: int, m: int, s: LinearArg, cf: ClosedForm) -> dict:
-    return {
-        "family": family,
-        "p": p,
-        "m": m,
-        "offset": {"a": s.a, "b": s.b},
-        "closed_form": closed_form_to_json(cf),
-    }
+def _failure_text(row: CheckRow) -> str:
+    return f"at n={row.n}: direct sum {row.lhs} != closed form {row.rhs}"
 
 
-def _cmd_identity(args: argparse.Namespace) -> int:
+def _cmd_identity(args: argparse.Namespace) -> Result:
     s = LinearArg(args.offset_a, args.offset_b)
     cf = build_closed_form(args.family, args.p, args.m, s)
     if args.format == "json":
-        text = json.dumps(_identity_payload(args.family, args.p, args.m, s, cf), indent=2)
-    else:
-        text = render(cf, args.format)
-    _emit(text, args.output)
-    return 0
+        return 0, {
+            "family": args.family,
+            "p": args.p,
+            "m": args.m,
+            "offset": _offset_json(s),
+            "closed_form": closed_form_to_json(cf),
+        }
+    return 0, [render(cf, args.format)]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Result:
     entries = catalog_entries()
     if args.format == "json":
-        payload = {
+        return 0, {
             "entries": [
                 {
                     "kind": entry.kind,
                     "p": entry.p,
                     "m": entry.m,
-                    "offset": {"a": entry.offset.a, "b": entry.offset.b},
+                    "offset": _offset_json(entry.offset),
                     "closed_form": closed_form_to_json(entry.closed_form),
                 }
                 for entry in entries
             ]
         }
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0
-    lines = [
+    return 0, [
         f"{entry.lhs_label(args.format)} = {render(entry.closed_form, args.format)}"
         for entry in entries
     ]
-    _emit("\n".join(lines), args.output)
-    return 0
 
 
 def _verify_grids(args: argparse.Namespace) -> list[dict]:
@@ -253,7 +251,7 @@ def _verify_grids(args: argparse.Namespace) -> list[dict]:
     ]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     """Stream every row of every grid, counting cells and keeping only the failures."""
     lines: list[str] = []
     reports: list[dict] = []
@@ -276,37 +274,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{total} cells, {total - len(failures)} passed, {len(failures)} failed"
         )
         lines.extend(
-            f"  FAIL {family}(p={p}, m={m}, s={s}) at n={row.n}: "
-            f"direct sum {row.lhs} != closed form {row.rhs}"
+            f"  FAIL {family}(p={p}, m={m}, s={s}) {_failure_text(row)}"
             for p, m, s, row in failures
         )
         reports.append(
             {
                 **grid,
-                "offsets": [{"a": s.a, "b": s.b} for s in offsets],
+                "offsets": [_offset_json(s) for s in offsets],
                 "total": total,
                 "passed": total - len(failures),
                 "failed": len(failures),
                 "failures": [
-                    {"p": p, "m": m, "offset": {"a": s.a, "b": s.b}, **_failure_json(row)}
+                    {"p": p, "m": m, "offset": _offset_json(s), **_failure_json(row)}
                     for p, m, s, row in failures
                 ],
             }
         )
     all_ok = not any(report["failed"] for report in reports)
     if args.format == "json":
-        _emit(json.dumps({"all_passed": all_ok, "grids": reports}, indent=2), args.output)
-    else:
-        lines.append("all identities verified" if all_ok else "verification FAILED")
-        _emit("\n".join(lines), args.output)
-    return 0 if all_ok else 1
+        return 0 if all_ok else 1, {"all_passed": all_ok, "grids": reports}
+    lines.append("all identities verified" if all_ok else "verification FAILED")
+    return 0 if all_ok else 1, lines
 
 
-def _failure_json(row: CheckRow) -> dict:
-    return {"n": row.n, "lhs": fraction_to_json(row.lhs), "rhs": fraction_to_json(row.rhs)}
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> Result:
     run_sbp = args.sbp or args.corollary is None
     if args.corollary is None:  # bare `check` runs everything
         run_corollary: tuple[str, ...] = () if args.sbp else tuple(COROLLARY_START)
@@ -322,7 +313,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines.append(f"{label}: {'PASS' if bad is None else 'FAIL'}")
         results.append({**entry, "passed": bad is None})
         if bad is not None:
-            lines.append(f"  FAIL at n={bad.n}: direct sum {bad.lhs} != closed form {bad.rhs}")
+            lines.append(f"  FAIL {_failure_text(bad)}")
             results[-1]["failure"] = _failure_json(bad)
 
     if run_sbp:
@@ -342,36 +333,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     all_ok = all(entry["passed"] for entry in results)
     if args.format == "json":
-        _emit(json.dumps({"all_passed": all_ok, "checks": results}, indent=2), args.output)
-    else:
-        lines.append("all checks passed" if all_ok else "checks FAILED")
-        _emit("\n".join(lines), args.output)
-    return 0 if all_ok else 1
+        return 0 if all_ok else 1, {"all_passed": all_ok, "checks": results}
+    lines.append("all checks passed" if all_ok else "checks FAILED")
+    return 0 if all_ok else 1, lines
 
 
-def _cmd_bernoulli(args: argparse.Namespace) -> int:
+def _cmd_bernoulli(args: argparse.Namespace) -> Result:
     values = [(k, bernoulli_plus(k)) for k in range(args.n_max + 1)]
     if args.format == "json":
-        payload = {"values": [{"k": k, **fraction_to_json(v)} for k, v in values]}
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.format == "latex":
-        lines = (f"B^+_{{{k}}} = {_fraction_text(v, latex=True)}" for k, v in values)
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit("\n".join(f"B+({k}) = {v}" for k, v in values), args.output)
-    return 0
+        return 0, {"values": [{"k": k, **fraction_to_json(v)} for k, v in values]}
+    if args.format == "latex":
+        return 0, [f"B^+_{{{k}}} = {_fraction_text(v, latex=True)}" for k, v in values]
+    return 0, [f"B+({k}) = {v}" for k, v in values]
 
 
-def _cmd_faulhaber(args: argparse.Namespace) -> int:
+def _cmd_faulhaber(args: argparse.Namespace) -> Result:
     poly = faulhaber_poly(args.p)
     if args.format == "json":
-        payload = {
-            "p": args.p,
-            "closed_form": closed_form_to_json(ClosedForm(poly)),
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.format == "latex":
-        _emit(f"\\sum_{{k=1}}^{{n}} k^{{{args.p}}} = {polynomial_text(poly, latex=True)}", args.output)
-    else:
-        _emit(f"sum_(k=1..n) k^{args.p} = {polynomial_text(poly)}", args.output)
-    return 0
+        return 0, {"p": args.p, "closed_form": closed_form_to_json(ClosedForm(poly))}
+    if args.format == "latex":
+        return 0, [f"\\sum_{{k=1}}^{{n}} k^{{{args.p}}} = {polynomial_text(poly, latex=True)}"]
+    return 0, [f"sum_(k=1..n) k^{args.p} = {polynomial_text(poly)}"]

@@ -29,7 +29,7 @@ from .closed_form import (
     shift_basis,
     substitute_n,
 )
-from .exact import bernoulli_plus, binomial
+from .exact import bernoulli_plus, binomial, int_pow
 from .polynomial import Polynomial, faulhaber_poly
 
 __all__ = [
@@ -81,7 +81,7 @@ def _sum_f_terms(p: int, m: int) -> ClosedForm:
 @functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
 def _sum_g_terms(p: int, m: int) -> ClosedForm:
     """sum_{k=0}^n k**p H_{n-k}^(m) over the H_n basis (no final shift)."""
-    weight = faulhaber_poly(p) + (1 if p == 0 else 0)
+    weight = faulhaber_poly(p) + int_pow(0, p)
     total = harmonic_term(_ARG_N, m).scale(weight)
     for k in range(1, p + 2):
         bracket = bernoulli_plus(p - k + 1)
@@ -127,7 +127,7 @@ def offset_sum_f(
     """Closed form of sum_{k=0}^n k**p H_{s+k}^(m) for the offset s = a*n+b.
 
     With ``offset_harmonic=True`` the summand is H_{s,k}^(m) instead,
-    i.e. the H_s^(m) * (power sum + [p=0]) correction is subtracted.
+    i.e. the H_s^(m) * sum_{k=0}^n k**p correction is subtracted.
     """
     _require_exponent(p)
     _require_offset(s)
@@ -161,8 +161,8 @@ def offset_sum_g(
 
 
 def _offset_correction(p: int, m: int, s: LinearArg) -> ClosedForm:
-    """H_s^(m) * (power-sum(p) + [p=0]), the H_{s,k} vs H_{s+k} difference."""
-    weight = faulhaber_poly(p) + (1 if p == 0 else 0)
+    """H_s^(m) * sum_{k=0}^n k**p, the H_{s,k} vs H_{s+k} difference."""
+    weight = faulhaber_poly(p) + int_pow(0, p)
     return harmonic_term(s, m).scale(weight)
 
 

@@ -62,26 +62,45 @@ class TestIdentity:
         assert data["family"] == "g"
         jsonschema.validate(data["closed_form"], CLOSED_FORM_SCHEMA)
 
+    P_RANGE, M_RANGE = f"[0, {cli.MAX_P}]", f"[{cli.MAX_ORDER_BELOW}, {cli.MAX_M}]"
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("identity", "--family", "f", "--p", "-1", "--m", "1"),
-            ("identity", "--family", "f", "--p", "1", "--m", "-11"),
-            ("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-a", "11"),
-            ("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-b", "-1"),
-            ("identity", "--family", "g", "--p", str(cli.MAX_P + 1), "--m", "1"),
-            ("faulhaber", "--p", str(cli.MAX_FAULHABER_P + 1)),
-            ("verify", "--p", str(cli.MAX_P + 1)),
-            ("identity", "--family", "f", "--p", "1", "--m", str(cli.MAX_M + 1)),
-            ("verify", "--m", str(cli.MAX_M + 1)),
-            ("bernoulli", "--n-max", str(cli.MAX_BERNOULLI_N + 1)),
+            (("identity", "--family", "f", "--p", "-1", "--m", "1"),
+             f"--p: must be in {P_RANGE}, got -1"),
+            (("identity", "--family", "f", "--p", "1", "--m", "-11"),
+             f"--m: must be in {M_RANGE}, got -11"),
+            (("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-a", "11"),
+             "--offset-a: must be in [0, 10], got 11"),
+            (("identity", "--family", "f", "--p", "1", "--m", "1", "--offset-b", "-1"),
+             "--offset-b: must be in [0, 10], got -1"),
+            (("identity", "--family", "g", "--p", str(cli.MAX_P + 1), "--m", "1"),
+             f"--p: must be in {P_RANGE}, got {cli.MAX_P + 1}"),
+            (("faulhaber", "--p", str(cli.MAX_FAULHABER_P + 1)),
+             f"--p: must be in [0, {cli.MAX_FAULHABER_P}], got {cli.MAX_FAULHABER_P + 1}"),
+            (("verify", "--p", str(cli.MAX_P + 1)),
+             f"--p: must be in {P_RANGE}, got {cli.MAX_P + 1}"),
+            (("identity", "--family", "f", "--p", "1", "--m", str(cli.MAX_M + 1)),
+             f"--m: must be in {M_RANGE}, got {cli.MAX_M + 1}"),
+            (("verify", "--m", str(cli.MAX_M + 1)),
+             f"--m: must be in {M_RANGE}, got {cli.MAX_M + 1}"),
+            (("bernoulli", "--n-max", str(cli.MAX_BERNOULLI_N + 1)),
+             f"--n-max: must be in [0, {cli.MAX_BERNOULLI_N}], got {cli.MAX_BERNOULLI_N + 1}"),
+            # `check --m` has no upper bound, but the lower one still applies
+            (("check", "--m", "-11"), f"--m: must be in [{cli.MAX_ORDER_BELOW}, inf], got -11"),
+            (("verify", "--p", "x"), "--p: invalid int value: 'x'"),
         ],
-    )
+    )  # fmt: skip
     def test_invalid_parameters_exit_2(self, capsys, argv):
+        # one parameter per case, (arguments, refusal), keeps the ids argv0, argv1, ...
+        argv, refusal = argv
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: harmsum {argv[0]} ")
+        assert f"argument {refusal}" in err
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -463,15 +482,25 @@ class TestAuxiliaryCommands:
         assert code == 0
         assert json.loads(out)["p"] == cli.MAX_P + 1
 
-    def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "identity.txt"
-        code, _ = run(
-            capsys,
-            "identity", "--family", "f", "--p", "1", "--m", "1",
-            "--output", str(target),
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identity", "--family", "f", "--p", "1", "--m", "1"),
+            ("table", "--format", "latex"),
+            ("verify", "--p", "1", "--m", "1", "--n-max", "3", "--format", "json"),
+            ("check", "--sbp", "--w", "0", "--n-max", "5"),
+            ("bernoulli", "--n-max", "4"),
+            ("faulhaber", "--p", "3", "--format", "json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_file(self, capsys, tmp_path, argv):
+        # `main` is the one writer: a file gets exactly the bytes stdout would
+        code, printed = run(capsys, *argv)
         assert code == 0
-        assert target.read_text().strip() == "H_n^(-1) H_{n+1} - 1/4 n(n+1)"
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "")
+        assert target.read_bytes() == printed.encode("utf-8")
 
     def test_output_under_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "x"
