@@ -48,7 +48,11 @@ from .render import (
 # `faulhaber` builds one power-sum polynomial only; at MAX_FAULHABER_P it
 # takes about 3 s. `bernoulli` up to MAX_BERNOULLI_N takes about 5 s; both
 # are dominated by the Bernoulli triangle, whose cost grows like n**3
-# (B_0..B_3000 takes 5-6 s).
+# (B_0..B_3000 takes 5-6 s). MAX_SBP_EXPONENT bounds `check --m` above and
+# `check --w` on both sides, so the sweep orders m and m - w are at most
+# 2 * MAX_SBP_EXPONENT: at the default n_max of 30 the slowest corner,
+# `check --sbp --m 1000 --w -1000`, takes about 0.7 s. A larger n_max is
+# bounded by MAX_N alone, with no work budget yet.
 MAX_ORDER_BELOW = -10
 MAX_M = 40
 MAX_OFFSET = 10
@@ -56,6 +60,7 @@ MAX_P = 80
 MAX_FAULHABER_P = 2200
 MAX_BERNOULLI_N = 2800
 MAX_N = 10_000
+MAX_SBP_EXPONENT = 1000
 
 DEFAULT_GRID = {
     "p": (0, 6),
@@ -155,10 +160,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the weighted-sum corollary checks",
     )
-    p_check.add_argument(  # a sweep order, not a closed-form build: bounded below only
-        "--m", type=_in(MAX_ORDER_BELOW), default=None, help="restrict sbp to one order"
+    p_check.add_argument(  # a sweep order, not a closed-form build: not bounded by MAX_M
+        "--m",
+        type=_in(MAX_ORDER_BELOW, MAX_SBP_EXPONENT),
+        default=None,
+        help="restrict sbp to one order",
     )
-    p_check.add_argument("--w", type=int, default=None, help="restrict sbp to one weight exponent")
+    p_check.add_argument(
+        "--w",
+        type=_in(-MAX_SBP_EXPONENT, MAX_SBP_EXPONENT),
+        default=None,
+        help="restrict sbp to one weight exponent",
+    )
     p_check.add_argument("--n-max", type=_in(0, MAX_N), default=None)
 
     p_bern = command("bernoulli", _cmd_bernoulli, "Bernoulli numbers, B_1 = +1/2 convention")

@@ -3,8 +3,11 @@
 The evaluators here compute harmonic numbers and the weighted double sums
 literally, term by term, sharing no code with the closed-form
 constructors (no Bernoulli numbers, no power-sum polynomials). The
-double sum ``lhs_direct`` adds its summands as integers over one common
-denominator and reduces the total once. Every
+double sum ``lhs_direct`` exchanges the order of summation, so that
+sum_k w_k H_{base+k} = W H_base + sum_j C_j / (base+j)**m with C_j a
+running suffix sum of the integer weights: each summand is one big
+// small and one big * small over one common denominator, and the total
+is reduced once. Every
 check is a sweep that yields one exact ``CheckRow`` per n: ``grid_rows``
 for a constructed closed form, ``sbp_rows`` and ``corollary_rows`` for
 the summation-by-parts and corollary identities. ``grid_rows`` receives
@@ -69,10 +72,19 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
     family 'F': sum_{k=0}^n k**p H_{s+k}^(m)
     family 'G': sum_{k=0}^n k**p H_{s+n-k}^(m)
 
-    k**p is the integer ``int_pow(k, p)``, with 0**0 = 1 at k = 0, p = 0.
-    The n + 1 summands are added term by term as integers: each H = num/d
-    is scaled to the common denominator D, the running lcm of the d, and
-    the sum is reduced once.
+    With base = s(n) and w_k the weight of H_{base+k} (k**p for F,
+    (n-k)**p for G, each the integer ``int_pow``, so 0**0 = 1), the order
+    of summation is exchanged: H_{base+k} = H_base + sum_{j=1}^k
+    1/(base+j)**m, so
+
+        sum_k w_k H_{base+k} = W H_base + sum_{j=1}^n C_j / (base+j)**m,
+
+    where W = sum_k w_k and C_j = sum_{k>=j} w_k is a running suffix sum
+    of the integer weights. H_base comes from the oracle's own prefix.
+    For m > 0 the summands are added as integers over one common
+    denominator D, the lcm of den(H_base) and lcm(base+1..base+n)**m, each
+    costing one big // small and one big * small; for m <= 0 they are
+    integers already. The total is reduced once.
     """
     if p < 0 or n < 0:
         raise ValueError("p and n must be nonnegative")
@@ -82,16 +94,22 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
     base = s.at(n)
     if base < 0:
         raise ValueError(f"offset {s} must be nonnegative at n = {n}, got {base}")
-    values = _prefix(0, m, base + n)[base : base + n + 1]
+    weights = [int_pow(k, p) for k in range(n + 1)]
     if family == "G":
-        values.reverse()
-    den = 1
-    for h in values:
-        if den % h.denominator:
-            den = lcm(den, h.denominator)
-    total = 0
-    for k, h in enumerate(values):
-        total += int_pow(k, p) * h.numerator * (den // h.denominator)
+        weights.reverse()
+    h = _prefix(0, m, base)[base]
+    suffix = total = 0
+    if m > 0:
+        den = lcm(lcm(*range(base + 1, base + n + 1)) ** m, h.denominator)
+        for j in range(n, 0, -1):
+            suffix += weights[j]
+            total += suffix * (den // (base + j) ** m)
+    else:  # integer summands, and H_base is an integer
+        den = 1
+        for j in range(n, 0, -1):
+            suffix += weights[j]
+            total += suffix * (base + j) ** -m
+    total += (suffix + weights[0]) * h.numerator * (den // h.denominator)
     return Fraction(total, den)
 
 

@@ -63,6 +63,8 @@ class TestIdentity:
         jsonschema.validate(data["closed_form"], CLOSED_FORM_SCHEMA)
 
     P_RANGE, M_RANGE = f"[0, {cli.MAX_P}]", f"[{cli.MAX_ORDER_BELOW}, {cli.MAX_M}]"
+    CHECK_M_RANGE = f"[{cli.MAX_ORDER_BELOW}, {cli.MAX_SBP_EXPONENT}]"
+    W_RANGE = f"[{-cli.MAX_SBP_EXPONENT}, {cli.MAX_SBP_EXPONENT}]"
 
     @pytest.mark.parametrize(
         "argv",
@@ -87,9 +89,15 @@ class TestIdentity:
              f"--m: must be in {M_RANGE}, got {cli.MAX_M + 1}"),
             (("bernoulli", "--n-max", str(cli.MAX_BERNOULLI_N + 1)),
              f"--n-max: must be in [0, {cli.MAX_BERNOULLI_N}], got {cli.MAX_BERNOULLI_N + 1}"),
-            # `check --m` has no upper bound, but the lower one still applies
-            (("check", "--m", "-11"), f"--m: must be in [{cli.MAX_ORDER_BELOW}, inf], got -11"),
+            # `check --m` is a sweep order: MAX_SBP_EXPONENT bounds it above, not MAX_M
+            (("check", "--m", "-11"), f"--m: must be in {CHECK_M_RANGE}, got -11"),
             (("verify", "--p", "x"), "--p: invalid int value: 'x'"),
+            (("check", "--sbp", "--m", str(cli.MAX_SBP_EXPONENT + 1)),
+             f"--m: must be in {CHECK_M_RANGE}, got {cli.MAX_SBP_EXPONENT + 1}"),
+            (("check", "--w", str(cli.MAX_SBP_EXPONENT + 1)),
+             f"--w: must be in {W_RANGE}, got {cli.MAX_SBP_EXPONENT + 1}"),
+            (("check", "--sbp", "--w", str(-cli.MAX_SBP_EXPONENT - 1)),
+             f"--w: must be in {W_RANGE}, got {-cli.MAX_SBP_EXPONENT - 1}"),
         ],
     )  # fmt: skip
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -136,6 +144,18 @@ class TestIdentity:
         )  # fmt: skip
         assert result.returncode == 0
         assert json.loads(result.stdout)["values"][-1]["k"] == cli.MAX_BERNOULLI_N
+
+    def test_largest_accepted_sbp_exponents_finish(self):
+        # the slowest corner of the bounds: orders MAX_SBP_EXPONENT and twice it
+        top = str(cli.MAX_SBP_EXPONENT)
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums", "check", "--sbp",
+             "--m", top, "--w", f"-{top}", "--format", "json"],
+            capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert result.returncode == 0
+        (entry,) = json.loads(result.stdout)["checks"]
+        assert (entry["m"], entry["w"], entry["passed"]) == (int(top), -int(top), True)
 
     def test_check_order_is_not_bounded_by_max_m(self, capsys):
         # MAX_M sizes closed-form builds; `check --m` picks a sweep order

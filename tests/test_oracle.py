@@ -116,11 +116,15 @@ class TestLhsDirect:
             with pytest.raises(ValueError, match="got -3"):
                 lhs_direct(family, 1, 1, LinearArg(1, -3), 0)
 
-    # the verify-deep rows of the benchmark, at its largest n
+    # the verify-deep rows of the benchmark at its largest n, then one deep
+    # row at m <= 0 and one at a constant offset
     @pytest.mark.parametrize(
         "family,p,m,a,b",
-        [("F", 2, 2, 2, 1), ("G", 3, 1, 1, 0), ("F", 4, 1, 2, 0), ("G", 1, 3, 2, 2)],
-    )
+        [
+            ("F", 2, 2, 2, 1), ("G", 3, 1, 1, 0), ("F", 4, 1, 2, 0), ("G", 1, 3, 2, 2),
+            ("F", 3, -2, 2, 1), ("G", 2, 2, 0, 5),
+        ],
+    )  # fmt: skip
     def test_deep_rows_match_fraction_reference(self, family, p, m, a, b):
         s = LinearArg(a, b)
         assert lhs_direct(family, p, m, s, 399) == props.reference_lhs_direct(family, p, m, s, 399)

@@ -142,6 +142,18 @@ def reference_lhs_direct(family, p, m, s, n):
 @example("G", 0, 1, LinearArg(1, 2), 0)
 @example("F", 3, 0, LinearArg(2, 1), 10)  # m = 0: H_j^(0) = j
 @example("G", 5, 0, LinearArg(0, 0), 7)
+# each path of the exchanged summation: m < 0 (integer summands), n = 0
+# and s(n) = 0 (H_0 = 0) with m > 0, and constant offsets (a = 0) with b
+# beyond the drawn range
+@example("F", 2, -3, LinearArg(1, 2), 9)
+@example("G", 3, -1, LinearArg(0, 4), 11)
+@example("G", 0, 3, LinearArg(2, 5), 0)
+@example("F", 0, 1, LinearArg(0, 0), 0)
+@example("G", 1, 3, LinearArg(3, 0), 0)
+@example("F", 2, 2, LinearArg(0, 0), 9)
+@example("G", 4, 1, LinearArg(0, 0), 12)
+@example("F", 2, 3, LinearArg(0, 6), 12)
+@example("G", 0, 4, LinearArg(0, 7), 10)
 def test_lhs_direct_matches_fraction_reference(family, p, m, s, n):
     assert lhs_direct(family, p, m, s, n) == reference_lhs_direct(family, p, m, s, n)
 
