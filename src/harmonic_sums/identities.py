@@ -7,30 +7,20 @@ The constructors produce canonical closed forms for
     offset_sum_f: sum_{k=0}^n k**p * H_{s+k}^(m)      (s = a*n+b, a,b >= 0)
     offset_sum_g: sum_{k=0}^n k**p * H_{s+n-k}^(m)
 
-built exactly as linear combinations over the power-sum polynomials and
-then shifted onto the presentation basis (H_{n+1} for the plain sums;
-H_{(a+1)n+b+1} together with H_{an+b} for the offset sums). The
-``offset_harmonic`` flag switches the offset constructors to the sums over
-H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m), which differ by an explicit
-H_s^(m)-weighted correction. One kernel, _binomial_sum (Horner in -s or n+1),
-reduces both offset families to the plain ones, which are their s = 0 case.
+by summation by parts over j = s..N, N = s+n. With P(x) = sum_{k=0}^x k**p,
+the weight's antidifference is Q(j) = P(j-s-1) (forward) or P(n) - P(N-j)
+(reversed); Q(s) = 0 and Q(N+1) = P(n) in both, so the sum is
+P(n) H_N^(m) - sum_t q_t (H_N^(m-t) - H_s^(m-t)) for Q(j) = sum_t q_t j**t.
+An order m-t <= 0 sums the powers j**(t-m), a power-sum polynomial. The form
+is then shifted onto ``offset_basis(s)`` (H_{n+1} for the plain sums, s = 0).
+``offset_harmonic`` sums H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m): minus P(n) H_s^(m).
 """
 
 from __future__ import annotations
 
-import functools
-from fractions import Fraction
-from typing import Callable
-
-from .closed_form import (
-    ClosedForm,
-    LinearArg,
-    harmonic_term,
-    shift_basis,
-    substitute_n,
-)
-from .exact import bernoulli_plus, binomial, int_pow
-from .polynomial import Polynomial, faulhaber_poly
+from .closed_form import ClosedForm, LinearArg, harmonic_term, shift_basis
+from .exact import binomial, int_pow
+from .polynomial import Polynomial, RationalFunction, faulhaber_poly
 
 __all__ = [
     "build_closed_form",
@@ -41,7 +31,6 @@ __all__ = [
     "sum_g",
 ]
 
-_ARG_N = LinearArg(1, 0)
 _ZERO_OFFSET = LinearArg(0, 0)
 
 
@@ -54,42 +43,6 @@ def _require_offset(s: LinearArg) -> None:
     # must evaluate to a nonnegative integer for every n >= 0
     if s.b < 0:
         raise ValueError(f"offset {s} is negative at n = 0")
-
-
-# The two term builders are memoized for runs that build many rows in one
-# process, such as `harmsum table` and the default `harmsum verify` grid.
-# offset_sum_f(p, m, s) needs _sum_f_terms(i, m) for i = 0..p, and
-# offset_sum_g(p, m, s) needs _sum_g_terms(i, m), so every row with the same
-# m asks again for the forms that rows of lower p already built. A single
-# identity repeats almost none of its requests. The builders are pure and
-# their forms are never mutated. Each cache keeps at most _TERMS_CACHE_SIZE
-# forms; the default verify grid uses 35 keys per builder. The public
-# constructors stay unmemoized.
-_TERMS_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
-def _sum_f_terms(p: int, m: int) -> ClosedForm:
-    """sum_{k=0}^n k**p H_k^(m) over the H_n basis (no final shift)."""
-    total = harmonic_term(_ARG_N, m).scale(faulhaber_poly(p))
-    total = total + harmonic_term(_ARG_N, m - p)
-    for k, c in enumerate(faulhaber_poly(p).coeffs[1:], start=1):
-        total = total - harmonic_term(_ARG_N, m - k).scale(c)
-    return total
-
-
-@functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
-def _sum_g_terms(p: int, m: int) -> ClosedForm:
-    """sum_{k=0}^n k**p H_{n-k}^(m) over the H_n basis (no final shift)."""
-    weight = faulhaber_poly(p) + int_pow(0, p)
-    total = harmonic_term(_ARG_N, m).scale(weight)
-    for k in range(1, p + 2):
-        bracket = bernoulli_plus(p - k + 1)
-        if k <= p:  # the k = p+1 bracket term carries factor p-k+1 = 0
-            bracket = bracket + (p - k + 1) * faulhaber_poly(p - k)
-        c = Fraction((-1) ** k * binomial(p + 1, k), p + 1)
-        total = total + harmonic_term(_ARG_N, m - k).scale(bracket * c)
-    return total
 
 
 def sum_f(p: int, m: int) -> ClosedForm:
@@ -110,15 +63,18 @@ def offset_basis(s: LinearArg) -> frozenset[LinearArg]:
     return frozenset(targets)
 
 
-def _binomial_sum(
-    p: int, x: Polynomial, piece: Callable[[int], ClosedForm]
-) -> ClosedForm:
-    """sum_{i=0}^p C(p,i) x**(p-i) piece(i), by Horner in x with each step's
-    binomial ratio C(p,i-1)/C(p,i) = i/(p-i+1) folded into x."""
-    total = piece(0)
-    for i in range(1, p + 1):
-        total = total.scale(x * Fraction(i, p - i + 1)) + piece(i)
-    return total
+def _power_sum(p: int) -> Polynomial:
+    """P(x) = sum_{k=0}^x k**p: the power sum with its k = 0 term."""
+    return faulhaber_poly(p) + int_pow(0, p)
+
+
+def _taylor(poly: Polynomial) -> list[Polynomial]:
+    """The D_t with poly(x + y) = sum_t D_t(y) x**t, D_t(y) = sum_u C(t+u, t) c_{t+u} y**u."""
+    nums = poly.nums
+    return [
+        Polynomial([binomial(t + u, t) * nums[t + u] for u in range(len(nums) - t)], poly.den)
+        for t in range(len(nums))
+    ]
 
 
 def offset_sum_f(
@@ -131,16 +87,9 @@ def offset_sum_f(
     """
     _require_exponent(p)
     _require_offset(s)
-    if s == _ZERO_OFFSET:  # the plain sum: no pieces below the offset
-        total = _sum_f_terms(p, m)
-    else:
-        upper, lower = LinearArg(s.a + 1, s.b), LinearArg(s.a, s.b - 1)
-        total = _binomial_sum(p, -s.as_poly(), lambda i: (
-            substitute_n(_sum_f_terms(i, m), upper) - substitute_n(_sum_f_terms(i, m), lower)
-        ))
-    if offset_harmonic:
-        total = total - _offset_correction(p, m, s)
-    return shift_basis(total, offset_basis(s))
+    weight = _power_sum(p)
+    q = [d.compose_linear(-s.a, -s.b - 1) for d in _taylor(weight)]  # Q(j) = P(j - s - 1)
+    return _by_parts(weight, q, m, s, offset_harmonic)
 
 
 def offset_sum_g(
@@ -149,21 +98,34 @@ def offset_sum_g(
     """Closed form of sum_{k=0}^n k**p H_{s+n-k}^(m) for the offset s = a*n+b."""
     _require_exponent(p)
     _require_offset(s)
-    total = substitute_n(_sum_g_terms(p, m), LinearArg(s.a + 1, s.b))
-    if s != _ZERO_OFFSET:  # the plain sum has no pieces below the offset
-        lower = LinearArg(s.a, s.b - 1)
-        total = total - _binomial_sum(p, Polynomial.linear(1, 1), lambda i: (
-            substitute_n(_sum_g_terms(i, m), lower)
-        ))
+    weight = _power_sum(p)
+    # Q(j) = P(n) - P(N - j) = P(n) - sum_t D_t(N) (-j)**t
+    q = [d.compose_linear(s.a + 1, s.b) * (-1) ** (t + 1) for t, d in enumerate(_taylor(weight))]
+    q[0] += weight
+    return _by_parts(weight, q, m, s, offset_harmonic)
+
+
+def _by_parts(
+    weight: Polynomial, q: list[Polynomial], m: int, s: LinearArg, offset_harmonic: bool
+) -> ClosedForm:
+    """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, for Q(j) = sum_t q[t] j**t
+    with Q(s) = 0 and Q(N+1) = weight, on the basis ``offset_basis(s)``:
+    weight H_N^(m) - sum_t q[t] (H_N^(m-t) - H_s^(m-t)), and minus weight H_s^(m)
+    with ``offset_harmonic``. The parts are collected and merged once."""
+    top = LinearArg(s.a + 1, s.b)
+    parts = [(weight, top, m)]
     if offset_harmonic:
-        total = total - _offset_correction(p, m, s)
-    return shift_basis(total, offset_basis(s))
-
-
-def _offset_correction(p: int, m: int, s: LinearArg) -> ClosedForm:
-    """H_s^(m) * sum_{k=0}^n k**p, the H_{s,k} vs H_{s+k} difference."""
-    weight = faulhaber_poly(p) + int_pow(0, p)
-    return harmonic_term(s, m).scale(weight)
+        parts.append((-weight, s, m))
+    for t, q_t in enumerate(q):
+        parts += [(-q_t, top, m - t), (q_t, s, m - t)]
+    constant, terms = RationalFunction(), []
+    for coeff, arg, order in parts:
+        part = harmonic_term(arg, order)
+        if part.terms:
+            terms += [(sym, c * coeff) for sym, c in part.terms]
+        elif part.constant:
+            constant += part.constant * coeff
+    return shift_basis(ClosedForm(constant, terms), offset_basis(s))
 
 
 def build_closed_form(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
@@ -173,4 +135,3 @@ def build_closed_form(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
     if family.upper() == "G":
         return offset_sum_g(p, m, s)
     raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
-

@@ -447,8 +447,9 @@ def _as_rf(value: RationalFunction | Polynomial | Scalar) -> RationalFunction:
     return RationalFunction(value)
 
 
-# One offset_sum_g(80, -10, 10n+10) build asks 6,723 times for exponents
-# up to 80 + 10 + 1; the polynomials are never mutated.
+# One offset_sum_g(80, -10, 10n+10) build asks 166 times, for 82 distinct
+# exponents up to 80 + 10 + 1, and rows built in one process ask again for
+# the same exponents; the polynomials are never mutated.
 _FAULHABER_CACHE_SIZE = 128
 
 

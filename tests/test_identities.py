@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 import known_identities as known
-from harmonic_sums import identities
 from harmonic_sums.polynomial import ROOT_BOUND
 from harmonic_sums import (
     ClosedForm,
     LinearArg,
     Polynomial,
+    bernoulli_plus,
     binomial,
     build_closed_form,
     corollary_rows,
@@ -20,6 +20,7 @@ from harmonic_sums import (
     faulhaber_poly,
     grid_rows,
     harmonic_direct,
+    harmonic_term,
     int_pow,
     lhs_direct,
     offset_basis,
@@ -165,10 +166,36 @@ class TestOffsetSums:
             build_closed_form("x", 0, 1, S0)
 
 
-def power_expansion(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
-    """The offset sums as explicit binomial expansions in powers of the shift.
+ARG_N = LinearArg(1, 0)
 
-    A reference for the Horner kernel: family F is
+
+def plain_f(p: int, m: int) -> ClosedForm:
+    """sum_{k=0}^n k**p H_k^(m) over the H_n basis, from the coefficients c_k of
+    the power-sum polynomial fh_p: fh_p H_n^(m) + H_n^(m-p) - sum_{k>=1} c_k H_n^(m-k)."""
+    total = harmonic_term(ARG_N, m).scale(faulhaber_poly(p))
+    total = total + harmonic_term(ARG_N, m - p)
+    for k, c in enumerate(faulhaber_poly(p).coeffs[1:], start=1):
+        total = total - harmonic_term(ARG_N, m - k).scale(c)
+    return total
+
+
+def plain_g(p: int, m: int) -> ClosedForm:
+    """sum_{k=0}^n k**p H_{n-k}^(m) over the H_n basis, by the Bernoulli brackets
+    B+_{p-k+1} + (p-k+1) fh_{p-k} weighted by (-1)**k C(p+1, k) / (p+1)."""
+    total = harmonic_term(ARG_N, m).scale(faulhaber_poly(p) + int_pow(0, p))
+    for k in range(1, p + 2):
+        bracket = bernoulli_plus(p - k + 1)
+        if k <= p:  # the k = p+1 bracket term carries factor p-k+1 = 0
+            bracket = bracket + (p - k + 1) * faulhaber_poly(p - k)
+        c = Fraction((-1) ** k * binomial(p + 1, k), p + 1)
+        total = total + harmonic_term(ARG_N, m - k).scale(bracket * c)
+    return total
+
+
+def power_expansion(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
+    """The offset sums as explicit binomial expansions over the plain sums.
+
+    An independent reference for the constructors: family F is
     sum_k (-1)**k C(p,k) s**k [F_{p-k}(s+n) - F_{p-k}(s-1)], family G is
     G_p(s+n) - sum_k C(p,k) (n+1)**(p-k) G_k(s-1), for a nonzero offset s.
     """
@@ -176,19 +203,20 @@ def power_expansion(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
     if family == "F":
         total = ClosedForm.zero()
         for k in range(p + 1):
-            plain = identities._sum_f_terms(p - k, m)
+            plain = plain_f(p - k, m)
             piece = substitute_n(plain, upper) - substitute_n(plain, lower)
             total = total + piece.scale(s.as_poly() ** k * ((-1) ** k * binomial(p, k)))
     else:
-        total = substitute_n(identities._sum_g_terms(p, m), upper)
+        total = substitute_n(plain_g(p, m), upper)
         for k in range(p + 1):
-            piece = substitute_n(identities._sum_g_terms(k, m), lower)
+            piece = substitute_n(plain_g(k, m), lower)
             total = total - piece.scale(Polynomial.linear(1, 1) ** (p - k) * binomial(p, k))
     return shift_basis(total, offset_basis(s))
 
 
 class TestBinomialKernel:
-    """_binomial_sum against the power expansion it replaces."""
+    """The constructors against the binomial expansion over the plain sums,
+    ``power_expansion`` (the class keeps its name so the test ids stay stable)."""
 
     @pytest.mark.parametrize("family,builder", [("F", offset_sum_f), ("G", offset_sum_g)])
     @pytest.mark.parametrize(
@@ -199,25 +227,12 @@ class TestBinomialKernel:
     def test_matches_power_expansion(self, p, m, s, family, builder):
         assert builder(p, m, s) == power_expansion(family, p, m, s)
 
-    @pytest.mark.parametrize("p", range(7))
-    def test_kernel_is_the_binomial_sum(self, p):
-        x = Polynomial.linear(2, -3)
-        pieces = [ClosedForm(Polynomial.of((i * i + 1, -i))) for i in range(p + 1)]
-        expected = ClosedForm.zero()
-        for i, piece in enumerate(pieces):
-            expected = expected + piece.scale(x ** (p - i) * binomial(p, i))
-        assert identities._binomial_sum(p, x, pieces.__getitem__) == expected
-
 
 class TestMemoizedTermBuilders:
-    """The memoized _sum_f_terms / _sum_g_terms are safe to share."""
+    """The constructors read memoized shared state, faulhaber_poly's cache, the
+    Bernoulli cache and harmonic_value's prefixes, and are safe under threads."""
 
     ROWS = [(p, m, s) for p in range(4) for m in (-1, 1, 2) for s in (S0, LinearArg(1, 2))]
-
-    @staticmethod
-    def clear() -> None:
-        identities._sum_f_terms.cache_clear()
-        identities._sum_g_terms.cache_clear()
 
     def build_all(self) -> list:
         return [
@@ -227,9 +242,9 @@ class TestMemoizedTermBuilders:
         ]
 
     def test_threads_build_what_a_serial_run_builds(self):
-        self.clear()
+        faulhaber_poly.cache_clear()
         serial = self.build_all()
-        self.clear()
+        faulhaber_poly.cache_clear()
         start = threading.Barrier(4)
         results: dict[int, list] = {}
 
@@ -251,35 +266,6 @@ class TestMemoizedTermBuilders:
         assert sorted(results) == [0, 1, 2, 3]
         for built in results.values():
             assert built == serial
-
-    @pytest.mark.parametrize(
-        "terms,builder",
-        [(identities._sum_f_terms, offset_sum_f), (identities._sum_g_terms, offset_sum_g)],
-        ids=["f", "g"],
-    )
-    def test_callers_do_not_mutate_cached_forms(self, terms, builder):
-        self.clear()
-        p, m = 4, 2
-        cached = {k: terms(k, m) for k in range(p + 1)}
-        before = {k: hash(cf) for k, cf in cached.items()}
-        for a in range(3):
-            for b in range(3):
-                for variant in (False, True):
-                    builder(p, m, LinearArg(a, b), offset_harmonic=variant)
-                    assert {k: hash(cf) for k, cf in cached.items()} == before, (a, b)
-        for k, cf in cached.items():
-            assert terms(k, m) is cf
-            assert cf == terms.__wrapped__(k, m)
-
-    @pytest.mark.parametrize("terms", [identities._sum_f_terms, identities._sum_g_terms], ids=["f", "g"])
-    def test_cache_is_bounded(self, terms):
-        self.clear()
-        size = terms.cache_info().maxsize
-        assert size is not None
-        for m in range(size + 10):  # p = 0 keeps each build cheap
-            terms(0, m)
-        assert terms.cache_info().currsize == size
-        assert terms(0, size + 9) == terms.__wrapped__(0, size + 9)
 
 
 class TestCanonicalEquality:
