@@ -27,8 +27,7 @@ __all__ = [
 Scalar = Union[int, Fraction]
 Pole = tuple[Fraction, int]  # (r, e): the factor (n - r)**e of a denominator
 
-# The package's only root search, which splits denominators given expanded
-# and factors for display, finds the zeros p/q with |p|, q <= ROOT_BOUND.
+# The one root search, linear_factors, scans once for zeros p/q, |p|, q <= this.
 ROOT_BOUND = 1000
 
 
@@ -218,10 +217,10 @@ class Polynomial:
         """The polynomial p(a*n + b), expanded and canonical.
 
         An integer Taylor shift (nums[j] += b * nums[j+1]) gives p(n + b);
-        coefficient j is then scaled by a**j from a running product, so
-        a = 0 yields the constant p(b) without evaluating 0**0.
+        coefficient j is then scaled by a**j from a running product. For
+        a = 0 the numerators are just the constant p(b)'s, one evaluation.
         """
-        nums = list(self.nums)
+        nums = list(self.nums) if a else [self.value_at(b)[0]]  # b is an integer
         deg = len(nums) - 1
         if b:
             for i in range(deg):
@@ -247,44 +246,45 @@ def _as_poly(value: Polynomial | Scalar) -> Polynomial:
 
 def linear_factors(poly: Polynomial) -> tuple[list[Pole], Polynomial]:
     """The zeros r = p/q of a nonzero poly with |p|, q <= ROOT_BOUND, each with
-    its multiplicity e, and the cofactor c: poly == c * prod (n - r)**e."""
+    its multiplicity e, and the cofactor c: poly == c * prod (n - r)**e.
+
+    After the zero root, one scan (p, then q ascending; +p before -p) divides
+    each zero out fully. Gauss's lemma filters, taken once from the primitive
+    form P: q - p divides P(1) and q + p divides P(-1). A cofactor's zeros are
+    zeros of P later in the scan, so the order is that of a restarted search.
+    """
     roots: list[Pole] = []
-    while poly.degree >= 1 and (root := _rational_root(poly)) is not None:
-        count = 0
-        while (quot := poly.divide_linear(root)) is not None:
-            poly, count = quot, count + 1
-        roots.append((root, count))
-    return roots, poly
-
-
-def _rational_root(poly: Polynomial) -> Fraction | None:
-    """A zero p/q of poly with |p|, q <= ROOT_BOUND, or None. By Gauss's lemma
-    q*n - p then divides the primitive integer form P, so q - p divides P(1)
-    and q + p divides P(-1): integer tests that discard most candidates."""
-    if not poly.nums[0]:
-        return Fraction(0)
+    zeros = next((i for i, c in enumerate(poly.nums) if c), 0)
+    if zeros:
+        roots.append((Fraction(0), zeros))
+        poly = Polynomial(poly.nums[zeros:], poly.den)
+    if poly.degree < 1:
+        return roots, poly
     content = gcd(*poly.nums)
     nums = [c // content for c in poly.nums]
     at_one, at_minus_one = sum(nums), sum(nums[::2]) - sum(nums[1::2])
-    for p in _divisors(nums[0]):
-        for q in _divisors(nums[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                if (
-                    _divides(q - num, at_one)
-                    and _divides(q + num, at_minus_one)
-                    and not poly.evaluate(Fraction(num, q))
-                ):
-                    return Fraction(num, q)
-    return None
+    qs = _divisors(nums[-1])
+    candidates = (
+        Fraction(num, q)
+        for p in _divisors(nums[0]) for q in qs if gcd(p, q) == 1 for num in (p, -p)
+        if _divides(q - num, at_one) and _divides(q + num, at_minus_one)
+    )  # fmt: skip
+    for root in candidates:
+        if poly.degree < 1:
+            break
+        count = 0
+        while (quot := poly.divide_linear(root)) is not None:
+            poly, count = quot, count + 1
+        if count:
+            roots.append((root, count))
+    return roots, poly
 
 
 def _divides(d: int, n: int) -> bool:
     return n % d == 0 if d else n == 0
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int) -> list[int]:  # n != 0: a zero constant is stripped first
     return [d for d in range(1, min(abs(n), ROOT_BOUND) + 1) if n % d == 0]
 
 

@@ -136,6 +136,25 @@ class TestIdentity:
             # the exact bytes of the p = MAX_P identities, pinned across refactors
             assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("text", "cddb0f47d570d416ef80a1314e7853702cbb50ee684c3dfc14fde0628516199c"),
+            ("latex", "692ffe47dcbdfdbed495f497924a9d552f4f698483b1054a6021eaaa9df89047"),
+        ],
+        ids=["text", "latex"],
+    )
+    def test_largest_accepted_p_renders(self, fmt, digest):
+        # text and LaTeX factor every coefficient of the largest identity for display
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums", "identity", "--family", "g",
+             "--p", str(cli.MAX_P), "--m", str(cli.MAX_M), "--offset-a", "10",
+             "--offset-b", "9", "--format", fmt],
+            capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert result.returncode == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
     def test_largest_accepted_bernoulli_n_finishes(self):
         result = subprocess.run(
             [sys.executable, "-m", "harmonic_sums", "bernoulli",

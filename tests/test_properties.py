@@ -9,7 +9,8 @@ scalar product and quotient, product, division by a linear factor, linear
 composition, evaluation), the pole arithmetic of rational functions and
 their integer evaluation are checked against Fraction reference
 implementations kept in this file, and every kernel result is checked for
-the canonical integer layout.
+the canonical integer layout. The one-pass root search is checked against
+the search that restarts after every root, also kept here.
 """
 
 from collections import Counter
@@ -35,6 +36,7 @@ from harmonic_sums import (
     shift_basis,
     substitute_n,
 )
+from harmonic_sums.polynomial import ROOT_BOUND, linear_factors
 from harmonic_sums.render import factor_for_display
 
 MANY = settings(max_examples=200, deadline=None)
@@ -216,6 +218,75 @@ def test_display_factoring_is_exact_and_finds_small_roots(roots, remainder):
         assert found.get(factor, 0) >= mult
 
 
+def reference_linear_factors(poly):
+    """The root search that restarts on each cofactor: find the first zero in
+    the scan order (zero, then p ascending, q ascending, +p before -p), divide
+    it out as often as it divides, and search the cofactor from the start."""
+
+    def divisors(n):
+        return [d for d in range(1, min(abs(n), ROOT_BOUND) + 1) if n % d == 0]
+
+    def divides(d, n):
+        return n % d == 0 if d else n == 0
+
+    def first_root(poly):
+        if not poly.nums[0]:
+            return Fraction(0)
+        content = gcd(*poly.nums)
+        nums = [c // content for c in poly.nums]
+        at_one, at_minus_one = sum(nums), sum(nums[::2]) - sum(nums[1::2])
+        for p in divisors(nums[0]):
+            for q in divisors(nums[-1]):
+                if gcd(p, q) != 1:
+                    continue
+                for num in (p, -p):
+                    if (
+                        divides(q - num, at_one)
+                        and divides(q + num, at_minus_one)
+                        and not poly.evaluate(Fraction(num, q))
+                    ):
+                        return Fraction(num, q)
+        return None
+
+    roots = []
+    while poly.degree >= 1 and (root := first_root(poly)) is not None:
+        count = 0
+        while (quot := poly.divide_linear(root)) is not None:
+            poly, count = quot, count + 1
+        roots.append((root, count))
+    return roots, poly
+
+
+# (p, q, e) for the factor (q*n - p)**e, roots up to just past ROOT_BOUND
+bounded_powers = st.tuples(
+    st.integers(min_value=-ROOT_BOUND - 1, max_value=ROOT_BOUND + 1),
+    st.integers(min_value=1, max_value=ROOT_BOUND + 1),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@MANY
+@given(st.lists(bounded_powers, max_size=4), polynomials.filter(bool))
+@example([(-1000, 1, 1), (1, 1000, 2), (1000, 999, 3)], Polynomial([1]))
+@example([(-1000, 1, 2), (1, 1000, 1), (1000, 999, 1)], Polynomial([3, 0, 1]))
+@example([(1001, 1, 1), (1, 1001, 2), (2, 1, 1)], Polynomial([1]))
+@example([(0, 1, 2), (1, 1, 3), (-1, 1, 1)], Polynomial([1]))
+def test_linear_factors_matches_restarting_search(powers, remainder):
+    poly = remainder
+    for p, q, e in powers:
+        poly = poly * Polynomial.linear(q, -p) ** e
+    roots, cofactor = linear_factors(poly)
+    assert (roots, cofactor) == reference_linear_factors(poly)
+
+    found = dict(roots)
+    for p, q, e in powers:
+        root = Fraction(p, q)
+        if abs(root.numerator) <= ROOT_BOUND and root.denominator <= ROOT_BOUND:
+            assert found.get(root, 0) >= e, root
+        else:  # past the bound: the factor stays in the cofactor
+            assert root not in found and not cofactor.evaluate(root), root
+
+
 # ---------------------------------------------------------------------------
 # integer kernels against Fraction references
 
@@ -370,6 +441,16 @@ def test_compose_linear_matches_fraction_horner(poly):
             composed = poly.compose_linear(a, b)
             assert_layout(composed)
             assert composed == reference_compose_linear(poly, a, b), (a, b)
+
+
+@MANY
+@given(kernel_polynomials, st.integers(min_value=-(10**6), max_value=10**6))
+@example(Polynomial(), 3)
+@example(Polynomial.of([Fraction(-1, 4), 0, Fraction(1, 4)]), -1)
+def test_constant_composition_is_the_value(poly, b):
+    composed = poly.compose_linear(0, b)
+    assert_layout(composed)
+    assert composed == Polynomial.constant(poly.evaluate(b))
 
 
 @MANY
