@@ -51,8 +51,9 @@ from .render import (
 # (B_0..B_3000 takes 5-6 s). MAX_SBP_EXPONENT bounds `check --m` above and
 # `check --w` on both sides, so the sweep orders m and m - w are at most
 # 2 * MAX_SBP_EXPONENT: at the default n_max of 30 the slowest corner,
-# `check --sbp --m 1000 --w -1000`, takes about 0.7 s. A larger n_max is
-# bounded by MAX_N alone, with no work budget yet.
+# `check --sbp --m 1000 --w -1000`, takes about 0.2 s, and about 1.2 s at
+# n_max 100. A larger n_max is bounded by MAX_N alone, with no work budget
+# yet; `check --corollary both --n-max 10000` takes about 3 s.
 MAX_ORDER_BELOW = -10
 MAX_M = 40
 MAX_OFFSET = 10

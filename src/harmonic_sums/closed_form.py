@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .exact import int_pow
@@ -96,23 +96,49 @@ class HarmonicSymbol:
         return f"H_{sub}{sup}"
 
 
-# Direct-summation harmonic values, memoized per (order) as prefix lists.
+# Direct-summation harmonic values, memoized per order as prefix lists. Entry c
+# of a list is the integer pair (num, l) with H_c^(order) = num / l**order and
+# l = lcm(1..c), or (H_c^(order), 1) for order <= 0; nothing is reduced.
 # Kept local to this module so evaluation shares no code with the oracle.
-# Growth holds the lock so that two threads never append the same index twice.
-_VALUE_CACHE: dict[int, list[Fraction]] = {}
+# Growth holds the lock so that two threads never append the same index twice,
+# and it appends one whole pair per index, so an interrupted growth leaves a
+# valid prefix.
+_VALUE_CACHE: dict[int, list[tuple[int, int]]] = {}
 _VALUE_LOCK = threading.Lock()
 
 
 def harmonic_value(c: int, order: int) -> Fraction:
     """H_c^(order) = sum_{k=1}^{c} k**(-order), by direct summation."""
+    num, l = _harmonic_pair(c, order)
+    return Fraction(num, l**order) if order > 0 else Fraction(num)
+
+
+def _harmonic_pair(c: int, order: int) -> tuple[int, int]:
+    """H_c^(order) as its unreduced prefix entry (num, l): num / l**order.
+
+    Growing the prefix to c scales the numerator by (l_new // l)**order
+    where the lcm moves, then adds l**order // k**order for each k; for
+    order <= 0 it adds k**-order.
+    """
     if c < 0:
         raise ValueError(f"harmonic number at negative argument {c}")
-    prefix = _VALUE_CACHE.setdefault(order, [Fraction(0)])
-    if len(prefix) <= c:
+    prefix = _VALUE_CACHE.get(order)
+    if prefix is None or len(prefix) <= c:
         with _VALUE_LOCK:
+            prefix = _VALUE_CACHE.setdefault(order, [(0, 1)])
+            num, l = prefix[-1]
+            big = l**order if order > 0 else 1
             while len(prefix) <= c:
                 k = len(prefix)
-                prefix.append(prefix[-1] + int_pow(Fraction(k), -order))
+                if order > 0:
+                    step = k // gcd(l % k, k)  # lcm(l, k) // l
+                    if step > 1:
+                        scale = int_pow(step, order)
+                        l, big, num = l * step, big * scale, num * scale
+                    num += big // int_pow(k, order)
+                else:
+                    num += int_pow(k, -order)
+                prefix.append((num, l))
     return prefix[c]
 
 
@@ -224,7 +250,7 @@ def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
 
     Each part is an unreduced integer pair (num, den): the constant's
     ``value_at`` pair, and each coefficient's pair times its harmonic
-    value's numerator and denominator. The numerators are scaled to the
+    value's unreduced prefix entry (h, l**order). The numerators are scaled to the
     common denominator D, the running lcm of the den, summed as integers,
     and the sum is reduced once. Raises ``PoleError`` at a coefficient's pole.
     """
@@ -233,8 +259,8 @@ def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
     parts = [cf.constant.value_at(n)]
     for sym, coeff in cf.terms:
         num, den = coeff.value_at(n)
-        h = harmonic_value(sym.arg.at(n), sym.order)
-        parts.append((num * h.numerator, den * h.denominator))
+        h, l = _harmonic_pair(sym.arg.at(n), sym.order)
+        parts.append((num * h, den * l**sym.order))
     common = 1
     for _, den in parts:
         if common % den:

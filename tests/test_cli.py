@@ -176,6 +176,20 @@ class TestIdentity:
         (entry,) = json.loads(result.stdout)["checks"]
         assert (entry["m"], entry["w"], entry["passed"]) == (int(top), -int(top), True)
 
+    def test_largest_accepted_corollary_sweeps_finish(self):
+        # both corollaries to MAX_N: integer rows over one running denominator
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonic_sums", "check", "--corollary", "both",
+             "--n-max", str(cli.MAX_N), "--format", "json"],
+            capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert result.returncode == 0
+        checks = json.loads(result.stdout)["checks"]
+        assert [(c["which"], c["n_max"], c["passed"]) for c in checks] == [
+            ("inv_k", cli.MAX_N, True),
+            ("inv_k_plus_1", cli.MAX_N, True),
+        ]
+
     def test_check_order_is_not_bounded_by_max_m(self, capsys):
         # MAX_M sizes closed-form builds; `check --m` picks a sweep order
         m = str(cli.MAX_M + 1)
@@ -438,7 +452,7 @@ class TestCheck:
         def corrupt(rows):
             def corrupted(*args):
                 for row in rows(*args):
-                    yield replace(row, rhs=row.rhs + 1) if row.n == 7 else row
+                    yield replace(row, rhs_num=row.rhs_num + row.den) if row.n == 7 else row
 
             return corrupted
 

@@ -1,5 +1,6 @@
 """Closed-form constructors and the oracle's summation-by-parts and corollary sweeps."""
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -329,6 +330,37 @@ class TestNegativeOrders:
                     assert evaluate_cf(cf, n) == lhs_direct("G", p, -q, S0, n)
 
 
+def reference_harmonics(m, n_max):
+    """H_0^(m), ..., H_{n_max}^(m) as a running Fraction sum."""
+    values = [Fraction(0)]
+    for k in range(1, n_max + 1):
+        values.append(values[-1] + Fraction(k) ** -m)
+    return values
+
+
+def reference_sbp_rows(m, w, n_max):
+    """The summation-by-parts sweep over reduced Fractions, one addition per row:
+    (n, lhs, rhs) for n = 0..n_max."""
+    h, h_mw = reference_harmonics(m, n_max), reference_harmonics(m - w, n_max)
+    lhs = Fraction(0)
+    for n in range(n_max + 1):
+        if n:
+            lhs += (Fraction(n + 1) ** w - Fraction(n) ** w) * h[n]
+        yield n, lhs, Fraction(n + 1) ** w * h[n] - h_mw[n]
+
+
+def reference_corollary_rows(which, n_max):
+    """The corollary sweep over reduced Fractions: (n, lhs, rhs) from the first n."""
+    start = {"inv_k": 1, "inv_k_plus_1": 0}[which]
+    sign = 1 if start else -1
+    h, h2 = reference_harmonics(1, n_max + 1), reference_harmonics(2, n_max + 1)
+    lhs = Fraction(0)
+    for n in range(start, n_max + 1):
+        top = n + 1 - start
+        lhs += h[n] / top
+        yield n, lhs, (h[top] * h[top] + sign * h2[top]) / 2
+
+
 class TestSummationByParts:
     @pytest.mark.parametrize("m,w,n", [(1, 2, 5), (2, -1, 0), (3, -2, 10), (0, 3, 7), (-2, -3, 12)])
     def test_samples(self, m, w, n):
@@ -348,6 +380,14 @@ class TestSummationByParts:
             for w in range(-3, 4):
                 for row in sbp_rows(m, w, 30):
                     assert row.passed, (m, w, row.n)
+
+    def test_rows_equal_fraction_reference(self):
+        # every row's exact sides, not only its verdict, over the default
+        # m and w ranges of `harmsum check`
+        for m in range(-2, 4):
+            for w in range(-3, 4):
+                rows = [(row.n, row.lhs, row.rhs) for row in sbp_rows(m, w, 60)]
+                assert rows == list(reference_sbp_rows(m, w, 60)), (m, w)
 
 
 class TestCorollaries:
@@ -375,6 +415,23 @@ class TestCorollaries:
         assert [row.n for row in inv_k] == list(range(1, 101))
         assert [row.n for row in inv_k_plus_1] == list(range(101))
         assert all(row.passed for row in inv_k + inv_k_plus_1)
+
+    @pytest.mark.parametrize("which", ["inv_k", "inv_k_plus_1"])
+    def test_rows_equal_fraction_reference(self, which):
+        rows = [(row.n, row.lhs, row.rhs) for row in corollary_rows(which, 300)]
+        assert rows == list(reference_corollary_rows(which, 300))
+
+    def test_rows_share_one_running_denominator(self):
+        # both sides of a row are integers over a power of L = lcm(1..n+1)
+        for which in ("inv_k", "inv_k_plus_1"):
+            for row in corollary_rows(which, 40):
+                assert row.den == 2 * math.lcm(*range(1, row.n + 2)) ** 2
+                assert row.lhs_num == row.rhs_num
+        for m, w in ((3, -2), (-2, 3), (1, 1)):
+            e = max(m, 0) + max(-w, 0)
+            for row in sbp_rows(m, w, 40):
+                assert row.den == math.lcm(*range(1, row.n + 2)) ** e
+                assert row.lhs_num == row.rhs_num
 
     def test_validation(self):
         assert list(corollary_rows("inv_k", 0)) == []

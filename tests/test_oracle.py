@@ -3,9 +3,12 @@
 import ast
 import threading
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from harmonic_sums import closed_form, identities, oracle
 from harmonic_sums import (
@@ -97,6 +100,152 @@ class TestPrefixCachesUnderThreads:
         assert sorted(results) == [0, 1, 2, 3]
         for values in results.values():
             assert values == literal
+
+    @pytest.mark.parametrize(
+        "module,cache,lock,lookup",
+        [
+            (oracle, "_PREFIX", "_PREFIX_LOCK", lambda n: oracle.harmonic_direct(0, n, 2)),
+            (closed_form, "_VALUE_CACHE", "_VALUE_LOCK", lambda n: closed_form.harmonic_value(n, 2)),
+        ],
+        ids=["oracle", "closed_form"],
+    )  # fmt: skip
+    def test_slowed_power_runs_inside_locked_growth(self, monkeypatch, module, cache, lock, lookup):
+        # the slowed int_pow of test_concurrent_growth sits inside the race
+        # window: each growth step calls it with the lock held, and four
+        # threads together call it once per index and once per lcm move,
+        # as one thread would
+        fast = module.int_pow
+        calls: list[bool] = []
+
+        def slow_int_pow(base, exp):
+            calls.append(getattr(module, lock).locked())
+            time.sleep(0.0005)
+            return fast(base, exp)
+
+        monkeypatch.setattr(module, cache, {})
+        monkeypatch.setattr(module, "int_pow", slow_int_pow)
+        n_max = 40
+        start = threading.Barrier(4)
+
+        def work() -> None:
+            start.wait()
+            for n in range(n_max + 1):
+                lookup(n)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        lcm_moves = sum(lcm(*range(1, k + 1)) != lcm(*range(1, k)) for k in range(2, n_max + 1))
+        assert len(calls) == n_max + lcm_moves
+        assert all(calls)
+
+    @pytest.mark.parametrize(
+        "module,cache,lookup",
+        [
+            (oracle, "_PREFIX", lambda n: oracle.harmonic_direct(3, n, 2)),
+            (closed_form, "_VALUE_CACHE", lambda n: closed_form.harmonic_value(n, 2)),
+        ],
+        ids=["oracle", "closed_form"],
+    )
+    def test_interrupted_growth_leaves_a_valid_prefix(self, monkeypatch, module, cache, lookup):
+        fast = module.int_pow
+        budget = [25]
+
+        def failing_int_pow(base, exp):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise KeyboardInterrupt
+            return fast(base, exp)
+
+        monkeypatch.setattr(module, cache, {})
+        monkeypatch.setattr(module, "int_pow", failing_int_pow)
+        with pytest.raises(KeyboardInterrupt):
+            lookup(40)
+        (prefix,) = getattr(module, cache).values()
+        assert 1 < len(prefix) <= 40
+        monkeypatch.setattr(module, "int_pow", fast)
+        offset = 3 if module is oracle else 0
+        reference = reference_prefix(offset, 2, 40)
+        for n in range(41):  # below the interrupted growth, then past it
+            assert lookup(n) == reference[n]
+
+
+def reference_prefix(c, m, n_max):
+    """H_{c,0}^(m), ..., H_{c,n_max}^(m) as a running Fraction sum."""
+    values = [Fraction(0)]
+    for k in range(1, n_max + 1):
+        values.append(values[-1] + Fraction(c + k) ** -m)
+    return values
+
+
+@contextmanager
+def empty_prefix_caches():
+    """Both harmonic prefix caches empty for the block, restored after it."""
+    saved = oracle._PREFIX, closed_form._VALUE_CACHE
+    oracle._PREFIX, closed_form._VALUE_CACHE = {}, {}
+    try:
+        yield
+    finally:
+        oracle._PREFIX, closed_form._VALUE_CACHE = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=-3, max_value=6),
+    st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6),
+)
+@example(2, 3, [60, 0, 17, 59])  # reads below the growth
+@example(0, 1, [10, 11, 60])  # reads that extend it
+@example(5, -3, [0, 60, 30])
+@example(1, 0, [7, 7, 0])
+def test_prefix_caches_match_fraction_reference(c, m, reads):
+    """Each cache entry is the unreduced pair (num, l), l = lcm(c+1..c+k),
+    whose value num / l**m is the running Fraction sum; for m <= 0 it is (sum, 1)."""
+    reference = reference_prefix(c, m, 60)
+    plain = reference_prefix(0, m, c + 60)
+    with empty_prefix_caches():
+        for n in reads:
+            assert harmonic_direct(c, n, m) == reference[n]
+            assert closed_form.harmonic_value(c + n, m) == plain[c + n]
+            for base, entry, value in (
+                (c, oracle._prefix(c, m, n)[n], reference[n]),
+                (0, closed_form._harmonic_pair(c + n, m), plain[c + n]),
+            ):
+                l = lcm(*range(base + 1, c + n + 1)) if m > 0 else 1
+                assert entry == (value * l ** max(m, 0), l)
+        # one pair per index, up to the highest read
+        assert len(oracle._PREFIX[c, m]) == max(reads) + 1
+        assert len(closed_form._VALUE_CACHE[m]) == c + max(reads) + 1
+
+
+def literal_double_sum(family, p, m, s, n):
+    """sum_k k**p H_j^(m), j = s+k (F) or s+n-k (G), each H_j summed afresh."""
+    base = s.at(n)
+    total = Fraction(0)
+    for k in range(n + 1):
+        j = base + k if family == "F" else base + n - k
+        total += k**p * sum((Fraction(i) ** -m for i in range(1, j + 1)), Fraction(0))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from("FG"),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=-3, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=20),
+)
+@example("F", 2, 3, 3, 3, 20)
+@example("G", 0, 1, 1, 1, 0)
+def test_lhs_direct_equals_literal_double_sum_at_positive_offsets(family, p, m, a, b, n):
+    s = LinearArg(a, b)
+    assert lhs_direct(family, p, m, s, n) == literal_double_sum(family, p, m, s, n)
 
 
 class TestLhsDirect:
