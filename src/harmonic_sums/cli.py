@@ -42,9 +42,9 @@ from .render import (
 # Hard bounds on user-supplied parameters, each checked as its argument is parsed.
 # MAX_P and MAX_M bound --p and --m of `identity` and `verify`, which build
 # closed forms: at p = MAX_P the slowest accepted identities (m = -10 or
-# MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 0.7 s on a 2-core
+# MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 0.6 s on a 2-core
 # machine, and the slowest `verify` calls (both families, n 0..40, at
-# s = 10n+10 or at MAX_M and 10n+9) 1.3-1.6 s and 3.0-3.4 s, within a 10 s budget.
+# s = 10n+10 or at MAX_M and 10n+9) about 1.3 s and 2.5-2.7 s, within a 10 s budget.
 # `faulhaber` builds one power-sum polynomial only; at MAX_FAULHABER_P it
 # takes about 3 s. `bernoulli` up to MAX_BERNOULLI_N takes about 5 s; both
 # are dominated by the Bernoulli triangle, whose cost grows like n**3

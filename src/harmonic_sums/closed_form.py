@@ -11,10 +11,11 @@ symbol family used here.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .exact import int_pow
 from .polynomial import Polynomial, RationalFunction, _as_rf, faulhaber_poly
@@ -25,6 +26,7 @@ __all__ = [
     "HarmonicSymbol",
     "LinearArg",
     "evaluate_cf",
+    "harmonic_part",
     "harmonic_term",
     "harmonic_value",
     "shift_basis",
@@ -230,19 +232,26 @@ class ClosedForm:
         return render(self, "text")
 
 
-def harmonic_term(arg: LinearArg, order: int) -> ClosedForm:
-    """H_{arg}^(order) as a canonical closed form.
+def harmonic_part(arg: LinearArg, order: int) -> HarmonicSymbol | Polynomial:
+    """H_{arg}^(order) folded by the canonical rules: a polynomial or a symbol.
 
     Order <= 0 expands through the power-sum polynomial, a constant
-    argument folds to an exact rational, and anything else is a genuine
-    symbol.
+    argument folds to its exact rational as a constant polynomial, and
+    anything else is a genuine symbol.
     """
     if order <= 0:
-        poly = faulhaber_poly(-order).compose_linear(arg.a, arg.b)
-        return ClosedForm(poly)
+        return faulhaber_poly(-order).compose_linear(arg.a, arg.b)
     if arg.is_constant:
-        return ClosedForm(harmonic_value(arg.b, order))
-    return ClosedForm(0, {HarmonicSymbol(arg, order): 1})
+        return Polynomial.constant(harmonic_value(arg.b, order))
+    return HarmonicSymbol(arg, order)
+
+
+def harmonic_term(arg: LinearArg, order: int) -> ClosedForm:
+    """H_{arg}^(order) as a canonical closed form, folded by ``harmonic_part``."""
+    part = harmonic_part(arg, order)
+    if isinstance(part, HarmonicSymbol):
+        return ClosedForm(0, {part: 1})
+    return ClosedForm(part)
 
 
 def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
@@ -297,7 +306,11 @@ def shift_basis(
 
     Uses H_c^(m) = H_{c+1}^(m) - 1/(c+1)**m, moving the correction into
     the constant. Symbols already on a target, or unrelated to every
-    target, are left alone; the operation is idempotent.
+    target, are left alone; the operation is idempotent. No constructor
+    calls it, since summation by parts lands on ``offset_basis(s)`` itself.
+    It serves forms assembled by other routes, such as a binomial expansion
+    over plain forms substituted at N and s-1, and it is the only place that
+    creates the pole of the correction 1/(c+1)**m.
     """
     constant = cf.constant
     terms: list[tuple[HarmonicSymbol, RationalFunction]] = []

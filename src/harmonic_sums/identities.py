@@ -9,18 +9,19 @@ The constructors produce canonical closed forms for
 
 by summation by parts over j = s..N, N = s+n. With P(x) = sum_{k=0}^x k**p,
 the weight's antidifference is Q(j) = P(j-s-1) (forward) or P(n) - P(N-j)
-(reversed); Q(s) = 0 and Q(N+1) = P(n) in both, so the sum is
-P(n) H_N^(m) - sum_t q_t (H_N^(m-t) - H_s^(m-t)) for Q(j) = sum_t q_t j**t.
-An order m-t <= 0 sums the powers j**(t-m), a power-sum polynomial. The form
-is then shifted onto ``offset_basis(s)`` (H_{n+1} for the plain sums, s = 0).
+(reversed); Q(s) = 0 and Q(N+1) = P(n) in both, so taking the boundary term
+at N+1 the sum is P(n) H_{N+1}^(m) - sum_t q_t (H_{N+1}^(m-t) - H_s^(m-t))
+for Q(j) = sum_t q_t j**t. That already lies on ``offset_basis(s)`` (H_{n+1}
+for the plain sums, s = 0), so no basis shift follows. An order m-t <= 0 sums
+the powers j**(t-m) over s < j <= N+1, a difference of power-sum polynomials.
 ``offset_harmonic`` sums H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m): minus P(n) H_s^(m).
 """
 
 from __future__ import annotations
 
-from .closed_form import ClosedForm, LinearArg, harmonic_term, shift_basis
+from .closed_form import ClosedForm, LinearArg, harmonic_part
 from .exact import binomial, int_pow
-from .polynomial import Polynomial, RationalFunction, faulhaber_poly
+from .polynomial import Polynomial, faulhaber_poly
 
 __all__ = [
     "build_closed_form",
@@ -109,23 +110,28 @@ def _by_parts(
     weight: Polynomial, q: list[Polynomial], m: int, s: LinearArg, offset_harmonic: bool
 ) -> ClosedForm:
     """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, for Q(j) = sum_t q[t] j**t
-    with Q(s) = 0 and Q(N+1) = weight, on the basis ``offset_basis(s)``:
-    weight H_N^(m) - sum_t q[t] (H_N^(m-t) - H_s^(m-t)), and minus weight H_s^(m)
-    with ``offset_harmonic``. The parts are collected and merged once."""
-    top = LinearArg(s.a + 1, s.b)
-    parts = [(weight, top, m)]
+    with Q(s) = 0 and Q(N+1) = weight, directly on ``offset_basis(s)``:
+    weight H_{N+1}^(m) - sum_t q[t] (H_{N+1}^(m-t) - H_s^(m-t)), and minus
+    weight H_s^(m) with ``offset_harmonic``. Where both ends fold to power-sum
+    polynomials (order m-t <= 0) their difference takes one product. The parts
+    are merged as polynomials and the ``ClosedForm`` is built once."""
+    top = LinearArg(s.a + 1, s.b + 1)
+    parts = [(weight, harmonic_part(top, m))]
     if offset_harmonic:
-        parts.append((-weight, s, m))
+        parts.append((-weight, harmonic_part(s, m)))
+    constant, terms = Polynomial(), {}
     for t, q_t in enumerate(q):
-        parts += [(-q_t, top, m - t), (q_t, s, m - t)]
-    constant, terms = RationalFunction(), []
-    for coeff, arg, order in parts:
-        part = harmonic_term(arg, order)
-        if part.terms:
-            terms += [(sym, c * coeff) for sym, c in part.terms]
-        elif part.constant:
-            constant += part.constant * coeff
-    return shift_basis(ClosedForm(constant, terms), offset_basis(s))
+        upper, lower = harmonic_part(top, m - t), harmonic_part(s, m - t)
+        if isinstance(upper, Polynomial):  # order <= 0, so lower is a polynomial too
+            constant += q_t * (lower - upper)
+        else:
+            parts += [(-q_t, upper), (q_t, lower)]
+    for coeff, part in parts:
+        if isinstance(part, Polynomial):
+            constant += coeff * part
+        else:
+            terms[part] = terms.get(part, 0) + coeff
+    return ClosedForm(constant, terms)
 
 
 def build_closed_form(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:

@@ -151,14 +151,35 @@ class TestOffsetSums:
 
     @pytest.mark.parametrize("family,builder", [("F", offset_sum_f), ("G", offset_sum_g)])
     def test_offset_beyond_root_bound(self, family, builder):
-        # the shift-basis poles (n = -5000 and n = -5001/2) lie beyond
-        # ROOT_BOUND: the algebra computes them and never searches for them
+        # an offset beyond ROOT_BOUND: the build lands on H_{2n+5001} and
+        # H_{n+5000} directly, while the reference's shift_basis poles
+        # (n = -5000 and n = -5001/2) are computed and never searched for
         s = LinearArg(1, 5000)
         assert s.b > ROOT_BOUND
         cf = builder(2, 2, s)
         rows = list(grid_rows(family, 2, 2, s, cf, 5))
         assert len(rows) == 6 and all(row.passed for row in rows)
         assert parse_closed_form(render(cf, "json")) == cf
+        assert power_expansion(family, 2, 2, s) == cf
+
+    @pytest.mark.parametrize("offset_harmonic", [False, True])
+    @pytest.mark.parametrize(
+        "s",
+        [S0, LinearArg(0, 3), LinearArg(1, 0), LinearArg(2, 0), LinearArg(2, 1),
+         LinearArg(10, 9), LinearArg(10, 10)],
+        ids=str,
+    )  # fmt: skip
+    @pytest.mark.parametrize("builder", [offset_sum_f, offset_sum_g], ids=["F", "G"])
+    def test_built_on_presentation_basis(self, builder, s, offset_harmonic):
+        # summation by parts ends at H_{N+1} and H_s: no basis shift is left to do
+        basis = offset_basis(s)
+        for p in range(6):
+            for m in range(-2, 5):
+                cf = builder(p, m, s, offset_harmonic=offset_harmonic)
+                assert shift_basis(cf, basis) == cf
+                assert all(sym.arg in basis for sym in cf.symbols())
+                assert cf.constant.is_polynomial
+                assert all(c.is_polynomial for _, c in cf.terms)
 
     def test_build_dispatch(self):
         assert build_closed_form("f", 2, 1, S0) == sum_f(2, 1)
