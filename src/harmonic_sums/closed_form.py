@@ -92,10 +92,18 @@ class HarmonicSymbol:
         return (-self.order, -self.arg.a, self.arg.b)
 
     def __str__(self) -> str:
-        arg = str(self.arg)
-        sub = arg if len(arg) == 1 else "{" + arg + "}"
-        sup = "" if self.order == 1 else f"^({self.order})"
-        return f"H_{sub}{sup}"
+        return _harmonic_label(str(self.arg), str(self.order), latex=False)
+
+
+def _harmonic_label(sub: str, order: str, latex: bool) -> str:
+    """H_sub^(order), 'H_{n+1}^(2)' or 'H_{n+1}^{(2)}' in LaTeX: the subscript
+    braced past one character, no superscript for order 1. The order is text,
+    so that the power-sum label H_n^(-0) keeps its sign."""
+    if len(sub) > 1:
+        sub = "{" + sub + "}"
+    if order == "1":
+        return f"H_{sub}"
+    return f"H_{sub}^{{({order})}}" if latex else f"H_{sub}^({order})"
 
 
 # Direct-summation harmonic values, memoized per order as prefix lists. Entry c

@@ -80,7 +80,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, ``coeffs[i]`` of n**i: a view for display."""
+        """The coefficients as Fractions, ``coeffs[i]`` of n**i: a read-only view."""
         return tuple([Fraction(c, self.den) for c in self.nums])
 
     @property

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .closed_form import ClosedForm, HarmonicSymbol, LinearArg
+from .closed_form import ClosedForm, HarmonicSymbol, LinearArg, _harmonic_label
 from .polynomial import Polynomial, RationalFunction, faulhaber_poly, linear_factors
 
 __all__ = [
@@ -36,25 +36,26 @@ FORMATS = ("text", "latex", "json")
 
 def factor_for_display(
     poly: Polynomial,
-) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
+) -> tuple[Fraction, list[tuple[tuple[int, ...], int]]]:
     """Split a polynomial into content * product of integer-primitive factors.
 
-    Pulls out every linear factor q*n - p, powers of n included, with
-    |p|, q <= polynomial.ROOT_BOUND; the rest stays one factor. The
-    product of the returned parts is exactly the input.
+    Each factor is its integer coefficient tuple, constant term first, with
+    a positive leading coefficient; n is (0, 1). Pulls out every linear
+    factor q*n - p, powers of n included, with |p|, q <=
+    polynomial.ROOT_BOUND; the rest stays one factor. The product of the
+    returned parts is exactly the input.
     """
     if poly.is_zero:
         return Fraction(0), []
     roots, rest = linear_factors(poly)
-    content = Fraction(gcd(*rest.nums), rest.den)
-    if rest.leading < 0:
-        content = -content
-    factors = [(rest / content, 1)] if rest.degree >= 1 else []
+    g = gcd(*rest.nums) if rest.nums[-1] > 0 else -gcd(*rest.nums)
+    factors = [(tuple([c // g for c in rest.nums]), 1)] if rest.degree >= 1 else []
+    den = rest.den
     for root, mult in roots:  # n - p/q == (q*n - p) / q
-        factors.append((Polynomial.linear(root.denominator, -root.numerator), mult))
-        content /= root.denominator**mult
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].leading, fm[0].nums))
-    return content, factors
+        factors.append(((-root.numerator, root.denominator), mult))
+        den *= root.denominator**mult
+    factors.sort(key=lambda fm: (len(fm[0]), fm[0][-1], fm[0]))
+    return Fraction(g, den), factors
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +79,17 @@ def _monomial(power: int, latex: bool) -> str:
     return f"n^{{{power}}}" if latex else f"n^{power}"
 
 
-def _plain_poly(poly: Polynomial, latex: bool) -> str:
-    """Unfactored rendering, descending powers: '2n^2+2n-1'."""
-    if poly.is_zero:
-        return "0"
+def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
+    """Unfactored rendering of integer coefficients, descending powers: '2n^2+2n-1'."""
     parts: list[str] = []
-    for power, c in reversed(tuple(enumerate(poly.coeffs))):
+    for power in range(len(nums) - 1, -1, -1):
+        c = nums[power]
         if not c:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
         mono = _monomial(power, latex)
-        if mag == 1 and mono:
-            parts.append(f"{sign}{mono}")
-        else:
-            body = _fraction_text(mag, latex)
-            parts.append(f"{sign}{body}{mono}")
+        mag = "" if abs(c) == 1 and mono else abs(c)
+        parts.append(f"{sign}{mag}{mono}")
     return "".join(parts)
 
 
@@ -103,11 +99,8 @@ def polynomial_text(poly: Polynomial, latex: bool = False) -> str:
     if not factors:
         return _fraction_text(content, latex)
     pieces = []
-    for factor, mult in factors:
-        if factor == Polynomial.variable():
-            base = "n"
-        else:
-            base = f"({_plain_poly(factor, latex)})"
+    for nums, mult in factors:
+        base = "n" if nums == (0, 1) else f"({_plain_poly(nums, latex)})"
         if mult > 1:
             exp = f"^{{{mult}}}" if latex else f"^{mult}"
             base += exp
@@ -131,17 +124,8 @@ def rational_function_text(rf: RationalFunction, latex: bool = False) -> str:
     return f"({num})/({den})"
 
 
-def _symbol_text(sym: HarmonicSymbol, latex: bool) -> str:
-    if not latex:
-        return str(sym)
-    arg = str(sym.arg)
-    sub = arg if len(arg) == 1 else "{" + arg + "}"
-    sup = "" if sym.order == 1 else f"^{{({sym.order})}}"
-    return f"H_{sub}{sup}"
-
-
 def _power_sum_label(p: int, latex: bool) -> str:
-    return f"H_n^{{(-{p})}}" if latex else f"H_n^(-{p})"
+    return _harmonic_label("n", f"-{p}", latex)
 
 
 def _match_power_sum(poly: Polynomial) -> tuple[Fraction, int] | None:
@@ -187,8 +171,9 @@ def _signed_piece(rf: RationalFunction, latex: bool) -> tuple[int, str]:
     numerator's leading coefficient carries the sign."""
     if rf.is_zero:
         return 1, "0"
-    sign = -1 if rf.num.leading < 0 else 1
-    return sign, rational_function_text(rf * sign, latex)
+    if rf.num.nums[-1] < 0:
+        return -1, rational_function_text(-rf, latex)
+    return 1, rational_function_text(rf, latex)
 
 
 def render(cf: ClosedForm, fmt: str = "text") -> str:
@@ -201,7 +186,7 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
     pieces: list[tuple[int, str]] = []
     for sym, coeff in cf.terms:
         sign, body = _coefficient_piece(coeff, latex)
-        sym_text = _symbol_text(sym, latex)
+        sym_text = _harmonic_label(str(sym.arg), str(sym.order), latex)
         pieces.append((sign, f"{body} {sym_text}" if body else sym_text))
     if not cf.constant.is_zero or not pieces:
         pieces.append(_signed_piece(cf.constant, latex))

@@ -198,24 +198,38 @@ small_roots = st.tuples(
 
 
 @MANY
-@given(st.lists(small_roots, max_size=5), polynomials.filter(bool))
-def test_display_factoring_is_exact_and_finds_small_roots(roots, remainder):
+@given(st.lists(small_roots, max_size=5), polynomials.filter(bool), st.booleans())
+def test_display_factoring_is_exact_and_finds_small_roots(roots, remainder, past_bound):
     poly = remainder
     for p, q in roots:
         poly = poly * Polynomial.linear(q, -p)
+    far = Fraction(1, ROOT_BOUND + 1)  # a zero just past the search bound
+    if past_bound:
+        poly = poly * Polynomial.linear(far.denominator, -far.numerator) ** 2
     scalar, factors = factor_for_display(poly)
 
     product = Polynomial.constant(scalar)
-    for factor, mult in factors:
-        product = product * factor**mult
+    for nums, mult in factors:
+        product = product * Polynomial(nums) ** mult
     assert product == poly
-    assert all(factor.leading > 0 for factor, _ in factors)
+    assert all(nums[-1] > 0 for nums, _ in factors)
     assert (scalar < 0) == (poly.leading < 0)
+    assert all(all(isinstance(c, int) for c in nums) and gcd(*nums) == 1 for nums, _ in factors)
+    keys = [(len(nums) - 1, nums[-1], nums) for nums, _ in factors]  # degree, leading, coefficients
+    assert keys == sorted(keys)
 
-    found = dict(factors)
+    found = {Polynomial(nums): mult for nums, mult in factors}
     drawn = Counter(Polynomial.linear(q // gcd(p, q), -p // gcd(p, q)) for p, q in roots)
     for factor, mult in drawn.items():
         assert found.get(factor, 0) >= mult
+
+    if past_bound:
+        # the squared zero past the bound stays in the remainder: one factor
+        # of degree >= 2 and multiplicity 1 holds it, never a linear factor
+        holding = [
+            (len(nums) > 2, mult) for nums, mult in factors if not Polynomial(nums).evaluate(far)
+        ]
+        assert holding == [(True, 1)]
 
 
 def reference_linear_factors(poly):

@@ -1,5 +1,6 @@
 """Rendering and the JSON serialization contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,8 +18,10 @@ from harmonic_sums import (
     closed_form_to_json,
     faulhaber_poly,
     offset_sum_f,
+    offset_sum_g,
     parse_closed_form,
     render,
+    shift_basis,
     sum_f,
     sum_g,
 )
@@ -52,6 +55,20 @@ class TestTextRendering:
     def test_rational_function_constant(self):
         cf = ClosedForm(1 / (N + 1))
         assert render(cf) == "(1)/((n+1))"
+
+    def test_fractional_root_and_repeated_pole(self):
+        # the root -1/2 moves its 1/2 into the content; (n+2)^2 is a double pole
+        cf = ClosedForm((3 * N - 1) / ((2 * N + 1) * (N + 2) ** 2))
+        assert render(cf) == "(1/2 (3n-1))/(1/2 (n+2)^2(2n+1))"
+        assert render(cf, "latex") == (
+            "\\frac{\\frac{1}{2}(3n-1)}{\\frac{1}{2}(n+2)^{2}(2n+1)}"
+        )
+
+    def test_shifted_basis_with_pole(self):
+        cf = shift_basis(sum_f(1, 2), frozenset({LinearArg(1, 2)}))
+        assert render(cf) == (
+            "H_n^(-1) H_{n+2}^(2) + 1/2 H_{n+2} - (1/2 (n^3+6n^2+10n+6))/((n+2)^2)"
+        )
 
 
 class TestPolynomialDisplay:
@@ -136,6 +153,22 @@ class TestLatexRendering:
             " - \\frac{1}{3}n(2n+1)(4n+1) H_{2n}"
             " - \\frac{1}{36}n(n+1)(40n+17)"
         )
+
+
+def test_render_sweep_digest():
+    # text, LaTeX and JSON of 864 offset forms, each render followed by a NUL
+    digest = hashlib.sha256()
+    for family in (offset_sum_f, offset_sum_g):
+        for p in range(6):
+            for m in range(-3, 5):
+                for a in range(3):
+                    for b in range(3):
+                        cf = family(p, m, LinearArg(a, b))
+                        for fmt in ("text", "latex", "json"):
+                            digest.update(render(cf, fmt).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "91038cd19a76de471fffae7b4fa59e72fe924ae05533cc8597fc3122f59c5d70"
+    )
 
 
 class TestJsonContract:
