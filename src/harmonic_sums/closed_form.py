@@ -263,13 +263,20 @@ def harmonic_term(arg: LinearArg, order: int) -> ClosedForm:
 
 
 def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
-    """Exact value of the closed form at an integer n >= 0.
+    """Exact value of the closed form at an integer n >= 0: ``_evaluate_pair``'s
+    pair, reduced once. Raises ``PoleError`` at a coefficient's pole."""
+    return Fraction(*_evaluate_pair(cf, n))
 
-    Each part is an unreduced integer pair (num, den): the constant's
-    ``value_at`` pair, and each coefficient's pair times its harmonic
-    value's unreduced prefix entry (h, l**order). The numerators are scaled to the
-    common denominator D, the running lcm of the den, summed as integers,
-    and the sum is reduced once. Raises ``PoleError`` at a coefficient's pole.
+
+def _evaluate_pair(cf: ClosedForm, n: int) -> tuple[int, int]:
+    """The value of the closed form at an integer n >= 0 as an unreduced pair
+    (num, den), den > 0.
+
+    Each part is an unreduced integer pair: the constant's ``value_at`` pair,
+    and each coefficient's pair times its harmonic value's unreduced prefix
+    entry (h, l**order). The numerators are scaled to the common denominator
+    den, the running lcm of the parts' denominators, and summed as integers.
+    Raises ``PoleError`` at a coefficient's pole.
     """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
@@ -285,7 +292,7 @@ def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
     total = 0
     for num, den in parts:
         total += num * (common // den)
-    return Fraction(total, common)
+    return total, common
 
 
 def substitute_n(cf: ClosedForm, t: LinearArg) -> ClosedForm:

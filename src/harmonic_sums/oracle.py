@@ -8,13 +8,15 @@ running lcm, so no Fraction is reduced while they grow. The double sum
 ``lhs_direct`` exchanges the order of summation, so that
 sum_k w_k H_{base+k} = W H_base + sum_j C_j / (base+j)**m with C_j a
 running suffix sum of the integer weights: each summand is one big
-// small and one big * small over one common denominator, and the total
-is reduced once. Every
-check is a sweep that yields one exact ``CheckRow`` per n: ``grid_rows``
-for a constructed closed form, ``sbp_rows`` and ``corollary_rows`` for
-the summation-by-parts and corollary identities, whose rows compare
-integer numerators over one running denominator. ``grid_rows`` receives
-the closed form under test as an argument, so the dependency arrow points
+// small and one big * small over one common denominator. The sum is an
+unreduced integer pair, which ``lhs_direct`` reduces once. Every check is
+a sweep that yields one exact ``CheckRow`` per n, two integer numerators
+over one denominator: ``grid_rows`` for a constructed closed form, which
+reads one table of powers per sweep and cross-multiplies the unreduced
+pairs of the direct sum and the closed form; ``sbp_rows`` and
+``corollary_rows`` for the summation-by-parts and corollary identities,
+whose rows share one running denominator. ``grid_rows`` receives the
+closed form under test as an argument, so the dependency arrow points
 strictly from the constructors to this module and never back.
 
 Comparison is always exact; there is no tolerance anywhere.
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .closed_form import ClosedForm, LinearArg, evaluate_cf
+from .closed_form import ClosedForm, LinearArg, _evaluate_pair
 from .exact import int_pow
 
 __all__ = [
@@ -88,14 +90,41 @@ def _prefix(c: int, m: int, n: int) -> list[tuple[int, int]]:
     return prefix
 
 
+def _checked_family(family: str, p: int, s: LinearArg, n: int) -> str:
+    """The family in upper case, after refusing p < 0, n < 0, a family other
+    than F or G and an offset s(n) < 0."""
+    if p < 0 or n < 0:
+        raise ValueError("p and n must be nonnegative")
+    family = family.upper()
+    if family not in ("F", "G"):
+        raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
+    base = s.at(n)
+    if base < 0:
+        raise ValueError(f"offset {s} must be nonnegative at n = {n}, got {base}")
+    return family
+
+
 def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
     """The literal double sum being given a closed form, at a concrete n.
 
     family 'F': sum_{k=0}^n k**p H_{s+k}^(m)
     family 'G': sum_{k=0}^n k**p H_{s+n-k}^(m)
 
-    With base = s(n) and w_k the weight of H_{base+k} (k**p for F,
-    (n-k)**p for G, each the integer ``int_pow``, so 0**0 = 1), the order
+    The value of ``_direct_pair`` over the powers 0**p..n**p, reduced once.
+    """
+    family = _checked_family(family, p, s, n)
+    powers = [int_pow(k, p) for k in range(n + 1)]
+    return Fraction(*_direct_pair(family, powers, m, s, n))
+
+
+def _direct_pair(
+    family: str, powers: list[int], m: int, s: LinearArg, n: int
+) -> tuple[int, int]:
+    """``lhs_direct`` of a checked upper-case family as an unreduced pair
+    (total, den), den > 0, with powers[k] = k**p for k = 0..n at least.
+
+    With base = s(n) and w_k the weight of H_{base+k} (powers[k] for F,
+    powers[n-k] for G, each the integer ``int_pow``, so 0**0 = 1), the order
     of summation is exchanged: H_{base+k} = H_base + sum_{j=1}^k
     1/(base+j)**m, so
 
@@ -105,21 +134,11 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
     of the integer weights. For m > 0 the summands are added as integers
     over one common denominator D = l**m, l = lcm(1..base+n), each costing
     one big // small and one big * small; for m <= 0 they are integers
-    already. The oracle's own prefix, grown to base+n, gives l and
-    H_base = h / l_base**m, which joins D as h * (l // l_base)**m. The
-    total is reduced once.
+    already and D = 1. The oracle's own prefix, grown to base+n, gives l and
+    H_base = h / l_base**m, which joins D as h * (l // l_base)**m.
     """
-    if p < 0 or n < 0:
-        raise ValueError("p and n must be nonnegative")
-    family = family.upper()
-    if family not in ("F", "G"):
-        raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
+    weights = powers if family == "F" else powers[n::-1]
     base = s.at(n)
-    if base < 0:
-        raise ValueError(f"offset {s} must be nonnegative at n = {n}, got {base}")
-    weights = [int_pow(k, p) for k in range(n + 1)]
-    if family == "G":
-        weights.reverse()
     prefix = _prefix(0, m, base + n)
     h, l_base = prefix[base]
     suffix = total = 0
@@ -136,16 +155,17 @@ def lhs_direct(family: str, p: int, m: int, s: LinearArg, n: int) -> Fraction:
             suffix += weights[j]
             total += suffix * (base + j) ** -m
     total += (suffix + weights[0]) * h
-    return Fraction(total, den)
+    return total, den
 
 
 @dataclass(frozen=True)
 class CheckRow:
     """Row n of a check: the direct sum lhs_num / den against the closed form rhs_num / den.
 
-    Both sides share one positive denominator, so the row passes when the
-    integer numerators are equal. ``lhs`` and ``rhs`` build the reduced
-    Fractions only when asked, as for the row that is reported failing.
+    Both sides are unreduced integer numerators over one positive
+    denominator, so the row passes when they are equal. ``lhs`` and ``rhs``
+    build the reduced Fractions only when asked, as for the row that is
+    reported failing.
     """
 
     n: int
@@ -169,20 +189,21 @@ class CheckRow:
 def grid_rows(
     family: str, p: int, m: int, s: LinearArg, cf: ClosedForm, n_max: int
 ) -> Iterator[CheckRow]:
-    """Check the closed form ``cf`` of one (family, p, m, s) sum against ``lhs_direct``.
+    """Check the closed form ``cf`` of one (family, p, m, s) sum against the direct sum.
 
     Yields one row for each n = 0..n_max; a failing row is yielded, never
-    raised. The offset s = a*n+b moves with n, so every row sums afresh.
-    Both sides arrive reduced, so a passing row already shares its
-    denominator; only a failing one is brought over the product of the two.
+    raised. The arguments are refused as by ``lhs_direct`` before the first
+    row, and the powers 0**p..n_max**p are computed once for the sweep. The
+    offset s = a*n+b moves with n, so every row sums afresh. Each side
+    arrives as an unreduced pair, the direct sum's (ln, ld) and the closed
+    form's (rn, rd), and the row compares ln * rd with rn * ld over ld * rd.
     """
+    family = _checked_family(family, p, s, 0)  # s(n) only grows with n
+    powers = [int_pow(k, p) for k in range(n_max + 1)]
     for n in range(n_max + 1):
-        lhs, rhs = lhs_direct(family, p, m, s, n), evaluate_cf(cf, n)
-        a, b = lhs.denominator, rhs.denominator
-        if a == b:
-            yield CheckRow(n, lhs.numerator, rhs.numerator, a)
-        else:
-            yield CheckRow(n, lhs.numerator * b, rhs.numerator * a, a * b)
+        ln, ld = _direct_pair(family, powers, m, s, n)
+        rn, rd = _evaluate_pair(cf, n)
+        yield CheckRow(n, ln * rd, rn * ld, ld * rd)
 
 
 def _lcm_steps(n_max: int) -> Iterator[tuple[int, int, int]]:

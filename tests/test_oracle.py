@@ -15,6 +15,7 @@ from harmonic_sums import (
     ClosedForm,
     LinearArg,
     build_closed_form,
+    evaluate_cf,
     grid_rows,
     harmonic_direct,
     int_pow,
@@ -248,6 +249,17 @@ def test_lhs_direct_equals_literal_double_sum_at_positive_offsets(family, p, m, 
     assert lhs_direct(family, p, m, s, n) == literal_double_sum(family, p, m, s, n)
 
 
+def first_grid_row(family, p, m, s, n_max):
+    return next(grid_rows(family, p, m, s, ClosedForm.zero(), n_max))
+
+
+# the direct sum and a grid sweep refuse the same arguments with the same text,
+# the sweep before its first row
+ENTRY_POINTS = pytest.mark.parametrize(
+    "entry", [lhs_direct, first_grid_row], ids=["lhs_direct", "grid_rows"]
+)
+
+
 class TestLhsDirect:
     def test_forward_examples(self):
         assert lhs_direct("F", 0, 1, S0, 2) == Fraction(5, 2)
@@ -256,14 +268,22 @@ class TestLhsDirect:
     def test_reversed_example(self):
         assert lhs_direct("G", 1, 1, S0, 2) == 1
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            lhs_direct("Q", 0, 1, S0, 1)
+    @ENTRY_POINTS
+    def test_unknown_family_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"^unknown family 'Q'; expected 'F' or 'G'$"):
+            entry("Q", 0, 1, S0, 1)
 
-    def test_negative_offset_rejected(self):
+    @ENTRY_POINTS
+    def test_negative_offset_rejected(self, entry):
         for family in "FG":
-            with pytest.raises(ValueError, match="got -3"):
-                lhs_direct(family, 1, 1, LinearArg(1, -3), 0)
+            with pytest.raises(ValueError, match=r"^offset n-3 must be nonnegative at n = 0, got -3$"):
+                entry(family, 1, 1, LinearArg(1, -3), 0)
+
+    @ENTRY_POINTS
+    def test_negative_power_rejected(self, entry):
+        for family in "FG":
+            with pytest.raises(ValueError, match=r"^p and n must be nonnegative$"):
+                entry(family, -1, 1, S0, 2)
 
     # the verify-deep rows of the benchmark at its largest n, then one deep
     # row at m <= 0 and one at a constant offset
@@ -301,6 +321,18 @@ class TestVerifyGrid:
         assert [row.n for row in rows] == list(range(6))
         assert not any(row.passed for row in rows)
         assert all(row.rhs - row.lhs == 1 for row in rows)
+        # each row cross-multiplies the two unreduced pairs; for m <= 0 the
+        # direct sum's denominator is 1
+        for family in "FG":
+            for m in (-2, 0, 1, 3):
+                for s in (S0, LinearArg(1, 0), LinearArg(2, 1)):
+                    good = build_closed_form(family, 2, m, s)
+                    for form in (good, ClosedForm(good.constant + 1, good.terms)):
+                        for row in grid_rows(family, 2, m, s, form, 4):
+                            lhs = lhs_direct(family, 2, m, s, row.n)
+                            rhs = evaluate_cf(form, row.n)
+                            assert row.passed == (lhs == rhs) == (form is good)
+                            assert (row.lhs, row.rhs) == (lhs, rhs)
 
 
 def package_imports(module) -> dict[str, set[str]]:
@@ -331,7 +363,7 @@ def test_oracle_imports_no_summation_code():
     # the oracle must stay independent of the constructors it checks: nothing
     # from the algebra, the builders or the renderer, only the power choke
     # point and the closed-form type it evaluates
-    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "evaluate_cf"}}
+    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "_evaluate_pair"}}
     assert package_imports(oracle) == allowed
 
 
