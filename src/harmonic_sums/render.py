@@ -3,20 +3,22 @@
 Text and LaTeX follow the usual presentation for these identities:
 harmonic symbols carry the argument as a subscript and the order as a
 parenthesized superscript, coefficients that equal (a multiple of) a
-power-sum polynomial are displayed as H_n^(-p), and powers of n and linear
-factors with small rational roots are split off for readability. All of
-that is cosmetic; the JSON form is the contractual serialization and
-round-trips bit-exactly.
+power-sum polynomial are displayed as H_n^(-p), powers of n and linear
+factors with small rational roots are split off for readability, and a
+denominator prints one linear factor per pole. All of that is cosmetic;
+the JSON form is the contractual serialization and round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from math import gcd
 
 from .closed_form import ClosedForm, HarmonicSymbol, LinearArg, _harmonic_label
-from .polynomial import Polynomial, RationalFunction, faulhaber_poly, linear_factors
+from .polynomial import Pole, Polynomial, RationalFunction, faulhaber_poly, linear_factors
 
 __all__ = [
     "CLOSED_FORM_SCHEMA",
@@ -33,20 +35,36 @@ FORMATS = ("text", "latex", "json")
 # ---------------------------------------------------------------------------
 # display factoring
 
+# One factor: its integer coefficient tuple, constant term first, and its
+# multiplicity. A factoring is the content and a sorted tuple of factors.
+Factors = tuple[tuple[tuple[int, ...], int], ...]
 
-def factor_for_display(
-    poly: Polynomial,
-) -> tuple[Fraction, list[tuple[tuple[int, ...], int]]]:
+# An emit round of the benchmark factors 451 distinct polynomials (1,802
+# calls, since text and LaTeX print the same coefficients), and text plus
+# LaTeX of 936 offset and catalogue forms factor 865; every entry is
+# immutable, so the callers share it.
+_DISPLAY_CACHE_SIZE = 1024
+
+
+def _factor_key(factor: tuple[tuple[int, ...], int]) -> tuple:
+    """Display order: degree, then leading coefficient, then coefficients."""
+    nums = factor[0]
+    return len(nums), nums[-1], nums
+
+
+@functools.lru_cache(maxsize=_DISPLAY_CACHE_SIZE)
+def factor_for_display(poly: Polynomial) -> tuple[Fraction, Factors]:
     """Split a polynomial into content * product of integer-primitive factors.
 
     Each factor is its integer coefficient tuple, constant term first, with
     a positive leading coefficient; n is (0, 1). Pulls out every linear
     factor q*n - p, powers of n included, with |p|, q <=
     polynomial.ROOT_BOUND; the rest stays one factor. The product of the
-    returned parts is exactly the input.
+    returned parts is exactly the input. Memoized per distinct polynomial,
+    so the result is immutable throughout.
     """
     if poly.is_zero:
-        return Fraction(0), []
+        return Fraction(0), ()
     roots, rest = linear_factors(poly)
     g = gcd(*rest.nums) if rest.nums[-1] > 0 else -gcd(*rest.nums)
     factors = [(tuple([c // g for c in rest.nums]), 1)] if rest.degree >= 1 else []
@@ -54,8 +72,18 @@ def factor_for_display(
     for root, mult in roots:  # n - p/q == (q*n - p) / q
         factors.append(((-root.numerator, root.denominator), mult))
         den *= root.denominator**mult
-    factors.sort(key=lambda fm: (len(fm[0]), fm[0][-1], fm[0]))
-    return Fraction(g, den), factors
+    return Fraction(g, den), tuple(sorted(factors, key=_factor_key))
+
+
+def _pole_factors(poles: tuple[Pole, ...]) -> tuple[Fraction, Factors]:
+    """The display factoring of prod (n - r)**e, read off its poles: a root
+    p/q gives the factor q*n - p, so the content is 1 / prod q**e. No root
+    search, so a pole past ROOT_BOUND prints as its own linear factor."""
+    den = 1
+    for r, e in poles:
+        den *= r.denominator**e
+    factors = [((-r.numerator, r.denominator), e) for r, e in poles]
+    return Fraction(1, den), tuple(sorted(factors, key=_factor_key))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +123,10 @@ def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
 
 def polynomial_text(poly: Polynomial, latex: bool = False) -> str:
     """Factored display: content first, then factors, e.g. '1/4 n(n+1)'."""
-    content, factors = factor_for_display(poly)
+    return _factored_text(*factor_for_display(poly), latex)
+
+
+def _factored_text(content: Fraction, factors: Factors, latex: bool) -> str:
     if not factors:
         return _fraction_text(content, latex)
     pieces = []
@@ -115,10 +146,10 @@ def polynomial_text(poly: Polynomial, latex: bool = False) -> str:
 
 
 def rational_function_text(rf: RationalFunction, latex: bool = False) -> str:
-    if rf.is_polynomial:
-        return polynomial_text(rf.num, latex)
     num = polynomial_text(rf.num, latex)
-    den = polynomial_text(rf.den, latex)
+    if rf.is_polynomial:
+        return num
+    den = _factored_text(*_pole_factors(rf.poles), latex)
     if latex:
         return f"\\frac{{{num}}}{{{den}}}"
     return f"({num})/({den})"

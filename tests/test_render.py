@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import jsonschema
@@ -15,6 +16,7 @@ from harmonic_sums import (
     HarmonicSymbol,
     LinearArg,
     Polynomial,
+    catalog_entries,
     closed_form_to_json,
     faulhaber_poly,
     offset_sum_f,
@@ -25,7 +27,7 @@ from harmonic_sums import (
     sum_f,
     sum_g,
 )
-from harmonic_sums.render import polynomial_text
+from harmonic_sums.render import factor_for_display, polynomial_text
 
 N = Polynomial.variable()
 
@@ -69,6 +71,16 @@ class TestTextRendering:
         assert render(cf) == (
             "H_n^(-1) H_{n+2}^(2) + 1/2 H_{n+2} - (1/2 (n^3+6n^2+10n+6))/((n+2)^2)"
         )
+
+    def test_pole_past_root_bound_prints_from_the_poles(self):
+        # the double pole at n = -5001 lies past ROOT_BOUND: the denominator
+        # prints from the poles, not as the unsplit n^2+10002n+25010001
+        cf = shift_basis(
+            ClosedForm(0, {HarmonicSymbol(LinearArg(1, 5000), 2): 1}),
+            frozenset({LinearArg(1, 5001)}),
+        )
+        assert render(cf) == "H_{n+5001}^(2) - (1)/((n+5001)^2)"
+        assert render(cf, "latex") == "H_{n+5001}^{(2)} - \\frac{1}{(n+5001)^{2}}"
 
 
 class TestPolynomialDisplay:
@@ -169,6 +181,70 @@ def test_render_sweep_digest():
     assert digest.hexdigest() == (
         "91038cd19a76de471fffae7b4fa59e72fe924ae05533cc8597fc3122f59c5d70"
     )
+
+
+def _memo_forms():
+    """The catalogue, a few offset builds and three forms with poles."""
+    forms = [entry.closed_form for entry in catalog_entries()]
+    forms += [offset_sum_f(3, 2, LinearArg(2, 1)), offset_sum_g(4, -2, LinearArg(1, 3))]
+    forms += [offset_sum_g(2, 3, LinearArg(2, 2)), ClosedForm.zero()]
+    forms += [
+        shift_basis(sum_f(1, 2), frozenset({LinearArg(1, 2)})),
+        ClosedForm((3 * N - 1) / ((2 * N + 1) * (N + 2) ** 2)),
+        ClosedForm((N + 1) / (2 * N + 3), {HarmonicSymbol(LinearArg(3, -2), 4): 1 / (N + 5)}),
+    ]
+    return forms
+
+
+def _factored_polynomials(cf):
+    """What text and LaTeX factor for display, read off the form: each
+    printed coefficient's numerator with its sign taken out. A symbol's bare
+    +/-1 or power-sum multiple prints unfactored, a zero as 0, and a
+    denominator from its poles."""
+    printed = [(coeff, True) for _, coeff in cf.terms]
+    if cf.constant or not cf.terms:
+        printed.append((cf.constant, False))
+    for rf, on_symbol in printed:
+        if not rf:
+            continue
+        num = rf.num if rf.num.leading > 0 else -rf.num
+        if on_symbol and rf.is_polynomial:
+            if num.degree == 0 and num.leading == 1:
+                continue
+            if num.degree >= 2:
+                power_sum = faulhaber_poly(num.degree - 1)
+                if num == power_sum * (num.leading / power_sum.leading):
+                    continue
+        yield num
+
+
+class TestDisplayMemo:
+    def test_each_distinct_polynomial_is_factored_once(self):
+        forms = _memo_forms()
+        distinct = {poly for cf in forms for poly in _factored_polynomials(cf)}
+        factor_for_display.cache_clear()
+        for fmt in ("text", "latex"):
+            for cf in forms:
+                render(cf, fmt)
+        assert factor_for_display.cache_info().misses == len(distinct)
+        for poly in distinct:
+            _, factors = factor_for_display(poly)
+            assert isinstance(factors, tuple)
+            assert all(isinstance(factor, tuple) and isinstance(factor[0], tuple) for factor in factors)
+
+    def test_shared_memo_is_thread_safe(self):
+        jobs = [(cf, fmt) for cf in _memo_forms() for fmt in ("text", "latex")]
+        jobs += jobs[::-1]  # threads meet on the same polynomials, cold and warm
+        serial = [render(cf, fmt) for cf, fmt in jobs]
+        factor_for_display.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the memo's calls
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: render(*job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestJsonContract:
