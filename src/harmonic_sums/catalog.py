@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closed_form import ClosedForm, LinearArg
+from .closed_form import ClosedForm, LinearArg, _harmonic_label, _power
 from .identities import offset_sum_f, offset_sum_g, sum_f, sum_g
 from .polynomial import faulhaber_poly
 from .render import _power_sum_label
@@ -33,22 +33,13 @@ class CatalogEntry:
         latex = fmt == "latex"
         if self.kind == "power_sum":
             return _power_sum_label(self.p, latex)
-        weight = _power_text(self.p, latex)
         arg = _summand_arg(self.kind, self.offset)
-        if latex:
+        if latex:  # the table's LaTeX braces every subscript, H_{k} too
             sup = "" if self.m == 1 else f"^{{({self.m})}}"
-            return f"\\sum_{{k=0}}^{{n}} {weight}H_{{{arg}}}{sup}"
-        sup = "" if self.m == 1 else f"^({self.m})"
-        sub = arg if len(arg) == 1 else "{" + arg + "}"
-        return f"sum_(k=0..n) {weight}H_{sub}{sup}"
-
-
-def _power_text(p: int, latex: bool) -> str:
-    if p == 0:
-        return ""
-    if p == 1:
-        return "k "
-    return f"k^{{{p}}} " if latex else f"k^{p} "
+            head, label = "\\sum_{k=0}^{n}", f"H_{{{arg}}}{sup}"
+        else:
+            head, label = "sum_(k=0..n)", _harmonic_label(arg, str(self.m), latex)
+        return " ".join(filter(None, (head, _power("k", self.p, latex), label)))
 
 
 def _summand_arg(kind: str, offset: LinearArg) -> str:

@@ -44,14 +44,14 @@ from .render import (
 # closed forms: at p = MAX_P the slowest accepted identities (m = -10 or
 # MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 0.6 s on a 2-core
 # machine, and the slowest `verify` calls (both families, n 0..40, at
-# s = 10n+10 or at MAX_M and 10n+9) about 1.3 s and 2.5-2.7 s, within a 10 s budget.
+# s = 10n+10 or at MAX_M and 10n+9) about 0.7 s and 1.7-1.8 s, within a 10 s budget.
 # `faulhaber` builds one power-sum polynomial only; at MAX_FAULHABER_P it
 # takes about 3 s. `bernoulli` up to MAX_BERNOULLI_N takes about 5 s; both
 # are dominated by the Bernoulli triangle, whose cost grows like n**3
 # (B_0..B_3000 takes 5-6 s). MAX_SBP_EXPONENT bounds `check --m` above and
 # `check --w` on both sides, so the sweep orders m and m - w are at most
 # 2 * MAX_SBP_EXPONENT: at the default n_max of 30 the slowest corner,
-# `check --sbp --m 1000 --w -1000`, takes about 0.2 s, and about 1.2 s at
+# `check --sbp --m 1000 --w -1000`, takes about 0.2 s, and about 0.9 s at
 # n_max 100. A larger n_max is bounded by MAX_N alone, with no work budget
 # yet; `check --corollary both --n-max 10000` takes about 3 s.
 MAX_ORDER_BELOW = -10
@@ -319,6 +319,13 @@ def _cmd_check(args: argparse.Namespace) -> Result:
         run_corollary = tuple(COROLLARY_START)
     else:
         run_corollary = (args.corollary,)
+    corollary_n_max = args.n_max if args.n_max is not None else 100
+    for which in run_corollary:  # refuse an empty check before any sweep runs
+        if corollary_n_max < COROLLARY_START[which]:
+            raise ValueError(
+                f"corollary {which} starts at n={COROLLARY_START[which]}: "
+                f"--n-max {corollary_n_max} leaves no row to check"
+            )
     lines: list[str] = []
     results: list[dict] = []
 
@@ -340,10 +347,9 @@ def _cmd_check(args: argparse.Namespace) -> Result:
                 label = f"summation-by-parts m={m} w={w} n=0..{n_max}"
                 record(label, entry, sbp_rows(m, w, n_max))
     for which in run_corollary:
-        n_max = args.n_max if args.n_max is not None else 100
-        entry = {"check": "corollary", "which": which, "n_max": n_max}
-        label = f"corollary {which} n={COROLLARY_START[which]}..{n_max}"
-        record(label, entry, corollary_rows(which, n_max))
+        entry = {"check": "corollary", "which": which, "n_max": corollary_n_max}
+        label = f"corollary {which} n={COROLLARY_START[which]}..{corollary_n_max}"
+        record(label, entry, corollary_rows(which, corollary_n_max))
 
     all_ok = all(entry["passed"] for entry in results)
     if args.format == "json":

@@ -63,12 +63,7 @@ class LinearArg:
         return LinearArg(self.a, self.b + d)
 
     def __str__(self) -> str:
-        if self.a == 0:
-            return str(self.b)
-        head = "n" if self.a == 1 else f"{self.a}n"
-        if self.b == 0:
-            return head
-        return f"{head}{self.b:+d}"
+        return _plain_poly((self.b, self.a), latex=False)
 
 
 @dataclass(frozen=True)
@@ -104,6 +99,29 @@ def _harmonic_label(sub: str, order: str, latex: bool) -> str:
     if order == "1":
         return f"H_{sub}"
     return f"H_{sub}^{{({order})}}" if latex else f"H_{sub}^({order})"
+
+
+def _power(base: str, e: int, latex: bool) -> str:
+    """base^e, 'n^2' or 'n^{2}' in LaTeX; base^1 prints as base, and base^0
+    as nothing, the implicit factor 1 of a constant term."""
+    if e <= 1:
+        return base if e else ""
+    return f"{base}^{{{e}}}" if latex else f"{base}^{e}"
+
+
+def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
+    """Unfactored integer coefficients, constant term first, printed in
+    descending powers: '2n^2+2n-1', '2n+1', and '0' for no nonzero term."""
+    parts: list[str] = []
+    for power in range(len(nums) - 1, -1, -1):
+        c = nums[power]
+        if not c:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mono = _power("n", power, latex)
+        mag = "" if abs(c) == 1 and mono else abs(c)
+        parts.append(f"{sign}{mag}{mono}")
+    return "".join(parts) or "0"
 
 
 # Direct-summation harmonic values, memoized per order as prefix lists. Entry c

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
-from .closed_form import ClosedForm, HarmonicSymbol, LinearArg, _harmonic_label
+from .closed_form import ClosedForm, HarmonicSymbol, LinearArg, _harmonic_label, _plain_poly, _power
 from .polynomial import Pole, Polynomial, RationalFunction, faulhaber_poly, linear_factors
 
 __all__ = [
@@ -67,16 +68,15 @@ def factor_for_display(poly: Polynomial) -> tuple[Fraction, Factors]:
         return Fraction(0), ()
     roots, rest = linear_factors(poly)
     g = gcd(*rest.nums) if rest.nums[-1] > 0 else -gcd(*rest.nums)
-    factors = [(tuple([c // g for c in rest.nums]), 1)] if rest.degree >= 1 else []
-    den = rest.den
-    for root, mult in roots:  # n - p/q == (q*n - p) / q
-        factors.append(((-root.numerator, root.denominator), mult))
-        den *= root.denominator**mult
-    return Fraction(g, den), tuple(sorted(factors, key=_factor_key))
+    content, factors = _pole_factors(roots)  # content is 1 / prod q**e
+    if rest.degree >= 1:
+        primitive = (tuple([c // g for c in rest.nums]), 1)
+        factors = tuple(sorted((*factors, primitive), key=_factor_key))
+    return Fraction(g, rest.den * content.denominator), factors
 
 
-def _pole_factors(poles: tuple[Pole, ...]) -> tuple[Fraction, Factors]:
-    """The display factoring of prod (n - r)**e, read off its poles: a root
+def _pole_factors(poles: Sequence[Pole]) -> tuple[Fraction, Factors]:
+    """The display factoring of prod (n - r)**e, read off its roots: a root
     p/q gives the factor q*n - p, so the content is 1 / prod q**e. No root
     search, so a pole past ROOT_BOUND prints as its own linear factor."""
     den = 1
@@ -91,34 +91,18 @@ def _pole_factors(poles: tuple[Pole, ...]) -> tuple[Fraction, Factors]:
 
 
 def _fraction_text(q: Fraction, latex: bool) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    if latex:
+    if latex and q.denominator != 1:
         sign = "-" if q < 0 else ""
         return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-    return f"{q.numerator}/{q.denominator}"
+    return str(q)
 
 
-def _monomial(power: int, latex: bool) -> str:
-    if power == 0:
-        return ""
-    if power == 1:
-        return "n"
-    return f"n^{{{power}}}" if latex else f"n^{power}"
-
-
-def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
-    """Unfactored rendering of integer coefficients, descending powers: '2n^2+2n-1'."""
-    parts: list[str] = []
-    for power in range(len(nums) - 1, -1, -1):
-        c = nums[power]
-        if not c:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mono = _monomial(power, latex)
-        mag = "" if abs(c) == 1 and mono else abs(c)
-        parts.append(f"{sign}{mag}{mono}")
-    return "".join(parts)
+def _scaled(c: Fraction, body: str, latex: bool) -> str:
+    """c times body, '1/4 n(n+1)' or '\\frac{1}{4}n(n+1)' in LaTeX; a
+    coefficient +/-1 prints as its sign alone."""
+    if c in (1, -1):
+        return body if c == 1 else f"-{body}"
+    return f"{_fraction_text(c, latex)}{'' if latex else ' '}{body}"
 
 
 def polynomial_text(poly: Polynomial, latex: bool = False) -> str:
@@ -129,20 +113,10 @@ def polynomial_text(poly: Polynomial, latex: bool = False) -> str:
 def _factored_text(content: Fraction, factors: Factors, latex: bool) -> str:
     if not factors:
         return _fraction_text(content, latex)
-    pieces = []
+    body = ""
     for nums, mult in factors:
-        base = "n" if nums == (0, 1) else f"({_plain_poly(nums, latex)})"
-        if mult > 1:
-            exp = f"^{{{mult}}}" if latex else f"^{mult}"
-            base += exp
-        pieces.append(base)
-    body = "".join(pieces)
-    if content == 1:
-        return body
-    if content == -1:
-        return f"-{body}"
-    sep = "" if latex else " "
-    return f"{_fraction_text(content, latex)}{sep}{body}"
+        body += _power("n" if nums == (0, 1) else f"({_plain_poly(nums, latex)})", mult, latex)
+    return _scaled(content, body, latex)
 
 
 def rational_function_text(rf: RationalFunction, latex: bool = False) -> str:
@@ -150,9 +124,7 @@ def rational_function_text(rf: RationalFunction, latex: bool = False) -> str:
     if rf.is_polynomial:
         return num
     den = _factored_text(*_pole_factors(rf.poles), latex)
-    if latex:
-        return f"\\frac{{{num}}}{{{den}}}"
-    return f"({num})/({den})"
+    return f"\\frac{{{num}}}{{{den}}}" if latex else f"({num})/({den})"
 
 
 def _power_sum_label(p: int, latex: bool) -> str:
@@ -166,7 +138,7 @@ def _match_power_sum(poly: Polynomial) -> tuple[Fraction, int] | None:
     as n than as H_n^(-0).
     """
     q = poly.degree - 1
-    if q < 1:
+    if q < 1 or poly.nums[0]:  # a power sum vanishes at n = 0
         return None
     reference = faulhaber_poly(q)
     scalar = poly.leading / reference.leading
@@ -182,12 +154,8 @@ def _coefficient_piece(coeff: RationalFunction, latex: bool) -> tuple[int, str]:
         match = _match_power_sum(poly)
         if match is not None:
             scalar, q = match
-            sign = -1 if scalar < 0 else 1
             label = _power_sum_label(q, latex)
-            if abs(scalar) == 1:
-                return sign, label
-            sep = "" if latex else " "
-            return sign, f"{_fraction_text(abs(scalar), latex)}{sep}{label}"
+            return (-1 if scalar < 0 else 1), _scaled(abs(scalar), label, latex)
         if poly.degree == 0 and abs(poly.leading) == 1:
             return (-1 if poly.leading < 0 else 1), ""
     sign, body = _signed_piece(coeff, latex)
@@ -221,13 +189,9 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
         pieces.append((sign, f"{body} {sym_text}" if body else sym_text))
     if not cf.constant.is_zero or not pieces:
         pieces.append(_signed_piece(cf.constant, latex))
-    out = []
-    for i, (sign, body) in enumerate(pieces):
-        if i == 0:
-            out.append(f"-{body}" if sign < 0 else body)
-        else:
-            out.append(f" - {body}" if sign < 0 else f" + {body}")
-    return "".join(out)
+    (sign, head), *rest = pieces
+    tail = "".join(f" - {body}" if s < 0 else f" + {body}" for s, body in rest)
+    return f"-{head}{tail}" if sign < 0 else f"{head}{tail}"
 
 
 # ---------------------------------------------------------------------------

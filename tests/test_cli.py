@@ -432,6 +432,29 @@ class TestCheck:
         assert kinds == {"sbp", "corollary"}
         assert all("failure" not in entry for entry in data["checks"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--corollary", "inv_k", "--n-max", "0"),
+            ("check", "--corollary", "inv_k", "--n-max", "0", "--format", "json"),
+            ("check", "--n-max", "0"),
+        ],
+        ids=["text", "json", "bare"],
+    )
+    def test_corollary_with_no_row_is_refused(self, capsys, monkeypatch, argv):
+        # inv_k starts at n = 1: a PASS over zero rows would claim a check never run
+        monkeypatch.setattr(cli, "sbp_rows", None)  # no sweep may start first
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: corollary inv_k starts at n=1: --n-max 0 leaves no row to check\n"
+
+    def test_corollary_with_one_row_at_n_max_0(self, capsys):
+        code, out = run(capsys, "check", "--corollary", "inv_k_plus_1", "--n-max", "0")
+        assert code == 0
+        assert out.splitlines() == ["corollary inv_k_plus_1 n=0..0: PASS", "all checks passed"]
+
     def test_long_sweep_finishes(self):
         # a fresh interpreter with a timeout: the sweep must stay linear in n
         result = subprocess.run(

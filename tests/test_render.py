@@ -24,6 +24,7 @@ from harmonic_sums import (
     parse_closed_form,
     render,
     shift_basis,
+    substitute_n,
     sum_f,
     sum_g,
 )
@@ -180,6 +181,36 @@ def test_render_sweep_digest():
                             digest.update(render(cf, fmt).encode() + b"\0")
     assert digest.hexdigest() == (
         "91038cd19a76de471fffae7b4fa59e72fe924ae05533cc8597fc3122f59c5d70"
+    )
+
+
+def test_render_pole_and_label_digest():
+    # text, LaTeX and JSON of 541 forms with negative offsets and poles: 270
+    # builds at n-1, each also with every symbol shifted up one step, and
+    # the double pole past ROOT_BOUND; then both labels of each table entry
+    digest = hashlib.sha256()
+    forms = [
+        shift_basis(
+            ClosedForm(0, {HarmonicSymbol(LinearArg(1, 5000), 2): 1}),
+            frozenset({LinearArg(1, 5001)}),
+        )
+    ]
+    for family in (offset_sum_f, offset_sum_g):
+        for p in range(5):
+            for m in range(1, 4):
+                for a in range(3):
+                    for b in range(3):
+                        cf = substitute_n(family(p, m, LinearArg(a, b)), LinearArg(1, -1))
+                        up = frozenset(sym.arg.shifted(1) for sym in cf.symbols())
+                        forms += [cf, shift_basis(cf, up)]
+    for cf in forms:
+        for fmt in ("text", "latex", "json"):
+            digest.update(render(cf, fmt).encode() + b"\0")
+    for entry in catalog_entries():
+        for fmt in ("text", "latex"):
+            digest.update(entry.lhs_label(fmt).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "bea6b5cd433ec184e0b2da85c744b9e5813c98be616e115c692b4a64179bb269"
     )
 
 
