@@ -21,11 +21,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, Iterator, Sequence
 
 from .catalog import catalog_entries
-from .closed_form import ClosedForm, LinearArg
+from .closed_form import ClosedForm, LinearArg, _power
 from .exact import bernoulli_plus
 from .identities import build_closed_form
 from .oracle import COROLLARY_START, CheckRow, corollary_rows, grid_rows, sbp_rows
@@ -95,6 +96,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(text, file=handle)
         else:
             print(text)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early (`| head`): not a usage error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush error at exit
         return code
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -319,6 +324,9 @@ def _cmd_check(args: argparse.Namespace) -> Result:
         run_corollary = tuple(COROLLARY_START)
     else:
         run_corollary = (args.corollary,)
+    for flag in ("m", "w"):  # refuse what would be ignored before any sweep runs
+        if getattr(args, flag) is not None and not run_sbp:
+            raise ValueError(f"--{flag} restricts the summation-by-parts sweep: add --sbp")
     corollary_n_max = args.n_max if args.n_max is not None else 100
     for which in run_corollary:  # refuse an empty check before any sweep runs
         if corollary_n_max < COROLLARY_START[which]:
@@ -371,6 +379,6 @@ def _cmd_faulhaber(args: argparse.Namespace) -> Result:
     poly = faulhaber_poly(args.p)
     if args.format == "json":
         return 0, {"p": args.p, "closed_form": closed_form_to_json(ClosedForm(poly))}
-    if args.format == "latex":
-        return 0, [f"\\sum_{{k=1}}^{{n}} k^{{{args.p}}} = {polynomial_text(poly, latex=True)}"]
-    return 0, [f"sum_(k=1..n) k^{args.p} = {polynomial_text(poly)}"]
+    latex = args.format == "latex"
+    lhs = "\\sum_{k=1}^{n}" if latex else "sum_(k=1..n)"
+    return 0, [f"{lhs} {_power('k', args.p, latex) or '1'} = {polynomial_text(poly, latex)}"]

@@ -7,9 +7,9 @@ The constructors produce canonical closed forms for
     offset_sum_f: sum_{k=0}^n k**p * H_{s+k}^(m)      (s = a*n+b, a,b >= 0)
     offset_sum_g: sum_{k=0}^n k**p * H_{s+n-k}^(m)
 
-by summation by parts over j = s..N, N = s+n. With P(x) = sum_{k=0}^x k**p,
-the weight's antidifference is Q(j) = P(j-s-1) (forward) or P(n) - P(N-j)
-(reversed); Q(s) = 0 and Q(N+1) = P(n) in both, so taking the boundary term
+by one summation by parts over j = s..N, N = s+n. The weight's antidifference
+P(x) = sum_{k=0}^x k**p moves onto j as Q(j) = P(j-s-1) (F) or P(n) - P(N-j)
+(G); Q(s) = 0 and Q(N+1) = P(n) in both, so taking the boundary term
 at N+1 the sum is P(n) H_{N+1}^(m) - sum_t q_t (H_{N+1}^(m-t) - H_s^(m-t))
 for Q(j) = sum_t q_t j**t. That already lies on ``offset_basis(s)`` (H_{n+1}
 for the plain sums, s = 0), so no basis shift follows. An order m-t <= 0 sums
@@ -35,25 +35,14 @@ __all__ = [
 _ZERO_OFFSET = LinearArg(0, 0)
 
 
-def _require_exponent(p: int) -> None:
-    if p < 0:
-        raise ValueError(f"power exponent p must be nonnegative, got {p}")
-
-
-def _require_offset(s: LinearArg) -> None:
-    # must evaluate to a nonnegative integer for every n >= 0
-    if s.b < 0:
-        raise ValueError(f"offset {s} is negative at n = 0")
-
-
 def sum_f(p: int, m: int) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_k^(m), over the H_{n+1} basis."""
-    return offset_sum_f(p, m, _ZERO_OFFSET)
+    return _by_parts(_power_sum(p), m, _ZERO_OFFSET)
 
 
 def sum_g(p: int, m: int) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_{n-k}^(m), over the H_{n+1} basis."""
-    return offset_sum_g(p, m, _ZERO_OFFSET)
+    return _by_parts(_power_sum(p), m, _ZERO_OFFSET, reverse=True)
 
 
 def offset_basis(s: LinearArg) -> frozenset[LinearArg]:
@@ -66,6 +55,8 @@ def offset_basis(s: LinearArg) -> frozenset[LinearArg]:
 
 def _power_sum(p: int) -> Polynomial:
     """P(x) = sum_{k=0}^x k**p: the power sum with its k = 0 term."""
+    if p < 0:
+        raise ValueError(f"power exponent p must be nonnegative, got {p}")
     return faulhaber_poly(p) + int_pow(0, p)
 
 
@@ -86,39 +77,38 @@ def offset_sum_f(
     With ``offset_harmonic=True`` the summand is H_{s,k}^(m) instead,
     i.e. the H_s^(m) * sum_{k=0}^n k**p correction is subtracted.
     """
-    _require_exponent(p)
-    _require_offset(s)
-    weight = _power_sum(p)
-    q = [d.compose_linear(-s.a, -s.b - 1) for d in _taylor(weight)]  # Q(j) = P(j - s - 1)
-    return _by_parts(weight, q, m, s, offset_harmonic)
+    return _by_parts(_power_sum(p), m, s, offset_harmonic)
 
 
 def offset_sum_g(
     p: int, m: int, s: LinearArg, offset_harmonic: bool = False
 ) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_{s+n-k}^(m) for the offset s = a*n+b."""
-    _require_exponent(p)
-    _require_offset(s)
-    weight = _power_sum(p)
-    # Q(j) = P(n) - P(N - j) = P(n) - sum_t D_t(N) (-j)**t
-    q = [d.compose_linear(s.a + 1, s.b) * (-1) ** (t + 1) for t, d in enumerate(_taylor(weight))]
-    q[0] += weight
-    return _by_parts(weight, q, m, s, offset_harmonic)
+    return _by_parts(_power_sum(p), m, s, offset_harmonic, reverse=True)
 
 
 def _by_parts(
-    weight: Polynomial, q: list[Polynomial], m: int, s: LinearArg, offset_harmonic: bool
+    antidiff: Polynomial, m: int, s: LinearArg, offset_harmonic: bool = False, reverse: bool = False
 ) -> ClosedForm:
-    """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, for Q(j) = sum_t q[t] j**t
-    with Q(s) = 0 and Q(N+1) = weight, directly on ``offset_basis(s)``:
-    weight H_{N+1}^(m) - sum_t q[t] (H_{N+1}^(m-t) - H_s^(m-t)), and minus
-    weight H_s^(m) with ``offset_harmonic``. Where both ends fold to power-sum
-    polynomials (order m-t <= 0) their difference takes one product. The parts
-    are merged as polynomials and the ``ClosedForm`` is built once."""
+    """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, where the weight's antidifference
+    P = ``antidiff`` gives Q(j) = P(j-s-1), or P(n) - P(N-j) with ``reverse``. For
+    Q(j) = sum_t q[t] j**t that is P(n) H_{N+1}^(m) - sum_t q[t] (H_{N+1}^(m-t) -
+    H_s^(m-t)) on ``offset_basis(s)``, and minus P(n) H_s^(m) with ``offset_harmonic``.
+    Where both ends fold to power-sum polynomials (order m-t <= 0) their difference
+    takes one product. The parts are merged as polynomials and the ``ClosedForm``
+    is built once."""
+    if s.b < 0:  # s must be a nonnegative integer for every n >= 0
+        raise ValueError(f"offset {s} is negative at n = 0")
+    taylor = _taylor(antidiff)
+    if reverse:  # P(n) - P(N - j) = P(n) - sum_t D_t(N) (-j)**t
+        q = [d.compose_linear(s.a + 1, s.b) * (-1) ** (t + 1) for t, d in enumerate(taylor)]
+        q[0] += antidiff
+    else:
+        q = [d.compose_linear(-s.a, -s.b - 1) for d in taylor]  # P(j - s - 1)
     top = LinearArg(s.a + 1, s.b + 1)
-    parts = [(weight, harmonic_part(top, m))]
+    parts = [(antidiff, harmonic_part(top, m))]
     if offset_harmonic:
-        parts.append((-weight, harmonic_part(s, m)))
+        parts.append((-antidiff, harmonic_part(s, m)))
     constant, terms = Polynomial(), {}
     for t, q_t in enumerate(q):
         upper, lower = harmonic_part(top, m - t), harmonic_part(s, m - t)
@@ -136,8 +126,6 @@ def _by_parts(
 
 def build_closed_form(family: str, p: int, m: int, s: LinearArg) -> ClosedForm:
     """Constructor dispatch keyed by family name ('F' or 'G')."""
-    if family.upper() == "F":
-        return offset_sum_f(p, m, s)
-    if family.upper() == "G":
-        return offset_sum_g(p, m, s)
-    raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
+    if family.upper() not in ("F", "G"):
+        raise ValueError(f"unknown family {family!r}; expected 'F' or 'G'")
+    return _by_parts(_power_sum(p), m, s, reverse=family.upper() == "G")

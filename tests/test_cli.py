@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -450,6 +451,33 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: corollary inv_k starts at n=1: --n-max 0 leaves no row to check\n"
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("check", "--corollary", "inv_k", "--m", "3"), "m"),
+            (("check", "--corollary", "both", "--w", "1", "--format", "json"), "w"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_sweep_flag_without_sbp_is_refused(self, capsys, monkeypatch, argv, flag):
+        # --m and --w only restrict the sbp sweep: without it they would be ignored
+        monkeypatch.setattr(cli, "sbp_rows", None)  # no sweep may start first
+        monkeypatch.setattr(cli, "corollary_rows", None)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        message = f"--{flag} restricts the summation-by-parts sweep: add --sbp"
+        assert captured.err == f"error: {message}\n"
+
+    def test_sweep_flag_with_sbp_and_corollary(self, capsys):
+        # with --sbp the sweep runs, so --m narrows it
+        argv = ("check", "--sbp", "--corollary", "inv_k", "--m", "1", "--n-max", "3")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "summation-by-parts m=1 w=-3 n=0..3: PASS"
+        assert out.splitlines()[-2:] == ["corollary inv_k n=1..3: PASS", "all checks passed"]
+
     def test_corollary_with_one_row_at_n_max_0(self, capsys):
         code, out = run(capsys, "check", "--corollary", "inv_k_plus_1", "--n-max", "0")
         assert code == 0
@@ -547,6 +575,24 @@ class TestAuxiliaryCommands:
         assert code == 0
         assert out.strip() == "sum_(k=1..n) k^3 = 1/4 n^2(n+1)^2"
 
+    @pytest.mark.parametrize(
+        "p,fmt,expected",
+        [
+            (0, "text", "sum_(k=1..n) 1 = n"),
+            (0, "latex", "\\sum_{k=1}^{n} 1 = n"),
+            (1, "text", "sum_(k=1..n) k = 1/2 n(n+1)"),
+            (1, "latex", "\\sum_{k=1}^{n} k = \\frac{1}{2}n(n+1)"),
+            (2, "text", "sum_(k=1..n) k^2 = 1/6 n(n+1)(2n+1)"),
+            (2, "latex", "\\sum_{k=1}^{n} k^{2} = \\frac{1}{6}n(n+1)(2n+1)"),
+        ],
+        ids=["p0-text", "p0-latex", "p1-text", "p1-latex", "p2-text", "p2-latex"],
+    )
+    def test_faulhaber_summand(self, capsys, p, fmt, expected):
+        # the summand k^p prints by the exponent rule: k^0 is 1 and k^1 is k
+        code, out = run(capsys, "faulhaber", "--p", str(p), "--format", fmt)
+        assert code == 0
+        assert out == expected + "\n"
+
     def test_faulhaber_json(self, capsys):
         code, out = run(capsys, "faulhaber", "--p", "2", "--format", "json")
         assert code == 0
@@ -584,6 +630,31 @@ class TestAuxiliaryCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "script,argv,code",
+        [
+            ("from harmonic_sums import cli", ["table"], 0),
+            # a wrong constructor: every verify cell fails
+            ("from harmonic_sums import ClosedForm, cli; "
+             "cli.build_closed_form = lambda *args: ClosedForm(7)",
+             ["verify", "--p", "0", "--m", "1", "--n-max", "3"], 1),
+        ],
+        ids=["table", "failing-verify"],
+    )  # fmt: skip
+    def test_reader_gone_before_output(self, script, argv, code):
+        # `harmsum table | head -1`: a closed pipe is no usage error, and the
+        # exit code stays the handler's own
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", f"{script}; raise SystemExit(cli.main({argv!r}))"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+            )  # fmt: skip
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (code, "")
 
     def test_module_invocation(self):
         import subprocess

@@ -37,6 +37,8 @@ from harmonic_sums import (
 )
 
 S0 = LinearArg(0, 0)
+BAD_P = "power exponent p must be nonnegative, got -1"
+BAD_S = "offset n-1 is negative at n = 0"
 
 
 class TestForwardSums:
@@ -187,6 +189,30 @@ class TestOffsetSums:
         with pytest.raises(ValueError):
             build_closed_form("x", 0, 1, S0)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: sum_f(-1, 1), BAD_P),
+            (lambda: sum_g(-1, 1), BAD_P),
+            (lambda: offset_sum_f(-1, 1, S0), BAD_P),
+            (lambda: offset_sum_f(1, 1, LinearArg(1, -1)), BAD_S),
+            (lambda: offset_sum_g(-1, 1, S0), BAD_P),
+            (lambda: offset_sum_g(1, 1, LinearArg(1, -1)), BAD_S),
+            (lambda: build_closed_form("F", -1, 1, S0), BAD_P),
+            (lambda: build_closed_form("F", 1, 1, LinearArg(1, -1)), BAD_S),
+            (lambda: build_closed_form("G", -1, 1, S0), BAD_P),
+            (lambda: build_closed_form("G", 1, 1, LinearArg(1, -1)), BAD_S),
+        ],
+        ids=[
+            "sum_f-p", "sum_g-p", "offset_sum_f-p", "offset_sum_f-s", "offset_sum_g-p",
+            "offset_sum_g-s", "build_F-p", "build_F-s", "build_G-p", "build_G-s",
+        ],
+    )
+    def test_refusal_message(self, call, message):
+        # every entry point refuses p < 0 and an offset negative at n = 0, word for word
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
 
 ARG_N = LinearArg(1, 0)
 
