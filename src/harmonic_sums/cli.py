@@ -18,6 +18,7 @@ any verification cell fails, 2 on invalid usage.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -89,6 +90,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)  # exact values may have any number of digits
     args = _build_parser().parse_args(argv)
     try:
+        # refused before the work, as `open` would refuse it after; the file
+        # itself is opened only once the handler has returned
+        if args.output and not os.path.exists(os.path.dirname(args.output) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
         code, out = args.handler(args)
         text = json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)
         if args.output:

@@ -11,14 +11,14 @@ symbol family used here.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
 from .exact import int_pow
-from .polynomial import Polynomial, RationalFunction, _as_rf, faulhaber_poly
+from .polynomial import PoleError, Polynomial, RationalFunction, _as_rf, faulhaber_poly
 
 __all__ = [
     "ClosedForm",
@@ -130,7 +130,8 @@ def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
 # Kept local to this module so evaluation shares no code with the oracle.
 # Growth holds the lock so that two threads never append the same index twice,
 # and it appends one whole pair per index, so an interrupted growth leaves a
-# valid prefix.
+# valid prefix. A sweep grows each list it reads once, then reads it without
+# the lock: a list only grows, and an index once written keeps its pair.
 _VALUE_CACHE: dict[int, list[tuple[int, int]]] = {}
 _VALUE_LOCK = threading.Lock()
 
@@ -281,36 +282,78 @@ def harmonic_term(arg: LinearArg, order: int) -> ClosedForm:
 
 
 def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
-    """Exact value of the closed form at an integer n >= 0: ``_evaluate_pair``'s
-    pair, reduced once. Raises ``PoleError`` at a coefficient's pole."""
-    return Fraction(*_evaluate_pair(cf, n))
+    """Exact value of the closed form at an integer n >= 0: the one pair of
+    ``_evaluate_pairs`` over n..n, reduced once. Raises ``PoleError`` at a
+    coefficient's pole."""
+    (pair,) = _evaluate_pairs(cf, n, n)
+    return Fraction(*pair)
 
 
-def _evaluate_pair(cf: ClosedForm, n: int) -> tuple[int, int]:
-    """The value of the closed form at an integer n >= 0 as an unreduced pair
-    (num, den), den > 0.
+def _evaluate_pairs(cf: ClosedForm, n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
+    """The value of the closed form at each integer n = n_lo..n_hi, n_lo >= 0,
+    as an unreduced pair (num, den), den > 0.
 
-    Each part is an unreduced integer pair: the constant's ``value_at`` pair,
-    and each coefficient's pair times its harmonic value's unreduced prefix
+    Each coefficient is planned once per sweep (``_plan``), and each
+    symbol's prefix is grown once, to its argument at n_hi, the sweep's
+    largest since a >= 0. Per n, each part is an unreduced integer pair: the
+    constant's, and each coefficient's times its harmonic value's prefix
     entry (h, l**order). The numerators are scaled to the common denominator
     den, the running lcm of the parts' denominators, and summed as integers.
-    Raises ``PoleError`` at a coefficient's pole.
+    Raises ``PoleError`` at a coefficient's pole, and ``ValueError`` at a
+    negative symbol argument, each at the first n where it occurs.
     """
-    if n < 0:
-        raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
-    parts = [cf.constant.value_at(n)]
+    if n_lo < 0:
+        raise ValueError(f"closed forms are evaluated at n >= 0, got {n_lo}")
+    constant = _plan(cf.constant)
+    terms = []
     for sym, coeff in cf.terms:
-        num, den = coeff.value_at(n)
-        h, l = _harmonic_pair(sym.arg.at(n), sym.order)
-        parts.append((num * h, den * l**sym.order))
-    common = 1
-    for _, den in parts:
-        if common % den:
-            common = lcm(common, den)
-    total = 0
-    for num, den in parts:
-        total += num * (common // den)
-    return total, common
+        a, b, order = sym.arg.a, sym.arg.b, sym.order
+        _harmonic_pair(max(a * n_hi + b, 0), order)  # grows the prefix, under the lock
+        terms.append((_plan(coeff), a, b, order, _VALUE_CACHE[order]))
+    for n in range(n_lo, n_hi + 1):
+        parts = [_plan_value(constant, n)]
+        for coeff, a, b, order, prefix in terms:
+            num, den = _plan_value(coeff, n)
+            c = a * n + b
+            h, l = prefix[c] if c >= 0 else _harmonic_pair(c, order)  # c < 0 raises
+            parts.append((num * h, den * l**order))
+        common = 1
+        for _, den in parts:
+            if common % den:
+                common = lcm(common, den)
+        total = 0
+        for num, den in parts:
+            total += num * (common // den)
+        yield total, common
+
+
+# A coefficient planned for integer evaluation: its numerators, highest power
+# first, its denominator, and its poles r = rp/rq as integer triples (rp, rq, e).
+_Plan = tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]
+
+
+def _plan(rf: RationalFunction) -> _Plan:
+    # most coefficients have no pole, and skipping the empty loop halves the
+    # plan's cost, which a one-point sweep pays in full
+    poles = tuple([(r.numerator, r.denominator, e) for r, e in rf.poles]) if rf.poles else ()
+    return rf.num.nums[::-1], rf.num.den, poles
+
+
+def _plan_value(plan: _Plan, n: int) -> tuple[int, int]:
+    """The planned coefficient at an integer n as an unreduced pair (num, den),
+    den > 0: integer Horner, then each pole's n - r = (n*rq - rp) / rq puts
+    rq**e above and (n*rq - rp)**e below. Raises ``PoleError`` at a pole."""
+    nums, den, poles = plan
+    num = 0
+    for c in nums:
+        num = num * n + c
+    for rp, rq, e in poles:
+        gap = n * rq - rp
+        if not gap:
+            raise PoleError(f"pole at n = {n}")
+        num *= rq**e
+        den *= gap**e
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def substitute_n(cf: ClosedForm, t: LinearArg) -> ClosedForm:

@@ -12,8 +12,9 @@ running suffix sum of the integer weights: each summand is one big
 unreduced integer pair, which ``lhs_direct`` reduces once. Every check is
 a sweep that yields one exact ``CheckRow`` per n, two integer numerators
 over one denominator: ``grid_rows`` for a constructed closed form, which
-reads one table of powers per sweep and cross-multiplies the unreduced
-pairs of the direct sum and the closed form; ``sbp_rows`` and
+reads one table of powers per sweep, takes the closed form's unreduced
+pairs from one evaluation sweep and cross-multiplies them with the
+direct sum's; ``sbp_rows`` and
 ``corollary_rows`` for the summation-by-parts and corollary identities,
 whose rows share one running denominator. ``grid_rows`` receives the
 closed form under test as an argument, so the dependency arrow points
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .closed_form import ClosedForm, LinearArg, _evaluate_pair
+from .closed_form import ClosedForm, LinearArg, _evaluate_pairs
 from .exact import int_pow
 
 __all__ = [
@@ -195,14 +196,14 @@ def grid_rows(
     raised. The arguments are refused as by ``lhs_direct`` before the first
     row, and the powers 0**p..n_max**p are computed once for the sweep. The
     offset s = a*n+b moves with n, so every row sums afresh. Each side
-    arrives as an unreduced pair, the direct sum's (ln, ld) and the closed
-    form's (rn, rd), and the row compares ln * rd with rn * ld over ld * rd.
+    arrives as an unreduced pair: the direct sum's (ln, ld), and the closed
+    form's (rn, rd) from one ``_evaluate_pairs`` sweep over 0..n_max, which
+    plans the form once. The row compares ln * rd with rn * ld over ld * rd.
     """
     family = _checked_family(family, p, s, 0)  # s(n) only grows with n
     powers = [int_pow(k, p) for k in range(n_max + 1)]
-    for n in range(n_max + 1):
+    for n, (rn, rd) in enumerate(_evaluate_pairs(cf, 0, n_max)):
         ln, ld = _direct_pair(family, powers, m, s, n)
-        rn, rd = _evaluate_pair(cf, n)
         yield CheckRow(n, ln * rd, rn * ld, ld * rd)
 
 

@@ -631,6 +631,30 @@ class TestAuxiliaryCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    def test_output_under_missing_directory_is_refused_before_the_sweep(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        monkeypatch.setattr(cli, "grid_rows", None)  # no sweep may start first
+        monkeypatch.setattr(cli, "sbp_rows", None)
+        monkeypatch.setattr(cli, "corollary_rows", None)
+        target = tmp_path / "no-such-dir" / "x"
+        code = main([command, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert not target.parent.exists()
+
+    def test_refused_command_leaves_an_existing_output_untouched(self, capsys, tmp_path):
+        # the output is opened only after the handler has returned
+        target = tmp_path / "out"
+        target.write_text("kept\n", encoding="utf-8")
+        code = main(["check", "--corollary", "inv_k", "--m", "1", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --m restricts")
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.parametrize(
         "script,argv,code",
         [

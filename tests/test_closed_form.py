@@ -17,6 +17,7 @@ from harmonic_sums import (
     substitute_n,
     sum_f,
 )
+from harmonic_sums.closed_form import _evaluate_pairs
 
 N = Polynomial.variable()
 ARG_N = LinearArg(1, 0)
@@ -162,6 +163,17 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluate_cf(cf, 1)
         assert evaluate_cf(cf, 3) == 0  # H_0
+
+    def test_negative_symbol_argument_rejected_in_a_sweep(self):
+        # a sweep from n = 0 must not read the prefix at index -3
+        cf = ClosedForm(0, {HarmonicSymbol(LinearArg(1, -3), 1): 1})
+        with pytest.raises(ValueError, match=r"^harmonic number at negative argument -3$"):
+            list(_evaluate_pairs(cf, 0, 5))
+        pairs = _evaluate_pairs(cf, 2, 5)
+        with pytest.raises(ValueError, match=r"^harmonic number at negative argument -1$"):
+            next(pairs)
+        values = [Fraction(*pair) for pair in _evaluate_pairs(cf, 3, 5)]
+        assert values == [evaluate_cf(cf, n) for n in range(3, 6)] == [0, 1, Fraction(3, 2)]
 
     def test_equal_forms_agree_everywhere(self):
         lhs = sum_f(0, 2)

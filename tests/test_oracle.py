@@ -102,6 +102,41 @@ class TestPrefixCachesUnderThreads:
         for values in results.values():
             assert values == literal
 
+    def test_concurrent_sweeps(self, monkeypatch):
+        # four sweeps over different forms grow the same order-2 and order-1
+        # prefixes at once, then read them outside the lock
+        forms = [
+            build_closed_form("F", 2, 2, LinearArg(1, 1)),
+            build_closed_form("G", 1, 2, LinearArg(2, 0)),
+            build_closed_form("F", 0, 2, LinearArg(2, 2)),
+            build_closed_form("G", 3, 2, LinearArg(1, 0)),
+        ]
+        n_max = 30
+        serial = [list(closed_form._evaluate_pairs(cf, 0, n_max)) for cf in forms]
+        fast = closed_form.int_pow
+
+        def slow_int_pow(base, exp):
+            time.sleep(0.0005)  # yields the interpreter lock in mid-growth
+            return fast(base, exp)
+
+        monkeypatch.setattr(closed_form, "_VALUE_CACHE", {})
+        monkeypatch.setattr(closed_form, "int_pow", slow_int_pow)
+        start = threading.Barrier(4)
+        results: dict[int, list[tuple[int, int]]] = {}
+
+        def work(i: int) -> None:
+            start.wait()
+            results[i] = list(closed_form._evaluate_pairs(forms[i], 0, n_max))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert [results.get(i) for i in range(4)] == serial
+        assert len(closed_form._VALUE_CACHE[2]) == 3 * n_max + 4  # once to H_{3n+3}, the largest
+
     @pytest.mark.parametrize(
         "module,cache,lock,lookup",
         [
@@ -363,7 +398,7 @@ def test_oracle_imports_no_summation_code():
     # the oracle must stay independent of the constructors it checks: nothing
     # from the algebra, the builders or the renderer, only the power choke
     # point and the closed-form type it evaluates
-    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "_evaluate_pair"}}
+    allowed = {"exact": {"int_pow"}, "closed_form": {"ClosedForm", "LinearArg", "_evaluate_pairs"}}
     assert package_imports(oracle) == allowed
 
 

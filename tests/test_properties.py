@@ -3,13 +3,13 @@
 Each of the four core properties (basis-shift value preservation,
 substitution/evaluation commutation, canonicalization idempotence, and
 the offset-splitting law for direct harmonic numbers) runs on at least
-200 generated instances. The integer accumulation of ``lhs_direct`` and of
-``evaluate_cf``, the integer polynomial kernels (sum, negation,
-scalar product and quotient, product, division by a linear factor, linear
-composition, evaluation), the pole arithmetic of rational functions and
-their integer evaluation are checked against Fraction reference
-implementations kept in this file, and every kernel result is checked for
-the canonical integer layout. The one-pass root search is checked against
+200 generated instances. The integer accumulation of ``lhs_direct``, of
+``evaluate_cf`` and of its sweep over a range of n, the integer
+polynomial kernels (sum, negation, scalar product and quotient, product,
+division by a linear factor, linear composition, evaluation), the pole
+arithmetic of rational functions and their integer evaluation are checked
+against Fraction reference implementations kept in this file, and every
+kernel result is checked for the canonical integer layout. The one-pass root search is checked against
 the search that restarts after every root, also kept here.
 """
 
@@ -36,6 +36,7 @@ from harmonic_sums import (
     shift_basis,
     substitute_n,
 )
+from harmonic_sums.closed_form import _evaluate_pairs, _plan, _plan_value
 from harmonic_sums.polynomial import ROOT_BOUND, linear_factors
 from harmonic_sums.render import factor_for_display
 
@@ -664,3 +665,45 @@ def test_evaluate_cf_matches_fraction_reference_with_poles(constant, terms, n):
             evaluate_cf(cf, n)
     else:
         assert evaluate_cf(cf, n) == reference_evaluate_cf(cf, n)
+
+
+# the constructors' output with its basis shift, whose poles lie below n = 0,
+# and forms whose poles the sweep range may hit
+sweep_forms = st.one_of(
+    st.builds(
+        lambda cf, symbols: shift_basis(cf, frozenset(sym.arg.shifted(1) for sym in symbols)),
+        built_forms,
+        st.sets(symbols, max_size=3),
+    ),
+    st.builds(ClosedForm, pole_functions, st.dictionaries(symbols, pole_functions, max_size=3)),
+)
+
+
+@MANY
+@given(sweep_forms, st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
+# (n - 5)**-1 below its pole at n = 5, where the sweep stops
+@example(
+    ClosedForm(
+        RationalFunction(Polynomial([1]), [(Fraction(5), 1)]),
+        {HarmonicSymbol(LinearArg(1, 0), 2): RationalFunction(Polynomial([0, 2, 1]))},
+    ),
+    2,
+    9,
+)
+@example(build_closed_form("G", 3, 2, LinearArg(2, 1)), 0, 15)
+def test_evaluate_pairs_match_fraction_reference(cf, lo, hi):
+    n_lo, n_hi = min(lo, hi), max(lo, hi)
+    poles = {r for rf in (cf.constant, *(c for _, c in cf.terms)) for r, _ in rf.poles}
+    pairs = _evaluate_pairs(cf, n_lo, n_hi)
+    for n in range(n_lo, n_hi + 1):
+        if n in poles:  # the values below the pole were yielded
+            with pytest.raises(PoleError, match=rf"^pole at n = {n}$"):
+                next(pairs)
+            return
+        num, den = next(pairs)
+        assert type(num) is int and type(den) is int and den > 0, n
+        assert Fraction(num, den) == reference_evaluate_cf(cf, n), n
+        # each part's pair too: the running lcm would hide a negative den
+        for rf in (cf.constant, *(c for _, c in cf.terms)):
+            assert _plan_value(_plan(rf), n) == rf.value_at(n), n
+    assert next(pairs, None) is None
