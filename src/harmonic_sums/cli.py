@@ -90,10 +90,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)  # exact values may have any number of digits
     args = _build_parser().parse_args(argv)
     try:
-        # refused before the work, as `open` would refuse it after; the file
-        # itself is opened only once the handler has returned
-        if args.output and not os.path.exists(os.path.dirname(args.output) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+        # the file itself is opened only once the handler has returned
+        if args.output:
+            _check_output(args.output)
         code, out = args.handler(args)
         text = json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)
         if args.output:
@@ -109,6 +108,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _check_output(path: str) -> None:
+    """Refuse, before the work, an output path that `open(path, "w")` would
+    refuse after it, with the same errno and message: a missing parent, a
+    file on the way to it, a directory as the path, or no write access."""
+    parent = os.path.dirname(path.rstrip(os.sep)) or "."
+    try:
+        os.stat(parent)
+    except OSError as exc:
+        code = exc.errno
+    else:
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        elif path.endswith(os.sep) or os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _in(low: int, high: float = math.inf) -> Callable[[str], int]:

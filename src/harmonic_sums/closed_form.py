@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .exact import int_pow
-from .polynomial import PoleError, Polynomial, RationalFunction, _as_rf, faulhaber_poly
+from .polynomial import Pole, PoleError, Polynomial, RationalFunction, _as_rf, faulhaber_poly
 
 __all__ = [
     "ClosedForm",
@@ -124,51 +124,48 @@ def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
     return "".join(parts) or "0"
 
 
-# Direct-summation harmonic values, memoized per order as prefix lists. Entry c
-# of a list is the integer pair (num, l) with H_c^(order) = num / l**order and
-# l = lcm(1..c), or (H_c^(order), 1) for order <= 0; nothing is reduced.
-# Kept local to this module so evaluation shares no code with the oracle.
-# Growth holds the lock so that two threads never append the same index twice,
-# and it appends one whole pair per index, so an interrupted growth leaves a
-# valid prefix. A sweep grows each list it reads once, then reads it without
-# the lock: a list only grows, and an index once written keeps its pair.
+# Direct-summation harmonic values, memoized per order >= 1 as prefix lists.
+# Entry c of a list is the integer pair (num, l) with H_c^(order) =
+# num / l**order and l = lcm(1..c); nothing is reduced. Kept local to this
+# module so evaluation shares no code with the oracle. Growth holds the lock
+# so that two threads never append the same index twice, and it appends one
+# whole pair per index, so an interrupted growth leaves a valid prefix. A
+# sweep grows each list it reads once, then reads it without the lock: a list
+# only grows, and an index once written keeps its pair.
 _VALUE_CACHE: dict[int, list[tuple[int, int]]] = {}
 _VALUE_LOCK = threading.Lock()
 
 
 def harmonic_value(c: int, order: int) -> Fraction:
-    """H_c^(order) = sum_{k=1}^{c} k**(-order), by direct summation."""
-    num, l = _harmonic_pair(c, order)
-    return Fraction(num, l**order) if order > 0 else Fraction(num)
-
-
-def _harmonic_pair(c: int, order: int) -> tuple[int, int]:
-    """H_c^(order) as its unreduced prefix entry (num, l): num / l**order.
-
-    Growing the prefix to c scales the numerator by (l_new // l)**order
-    where the lcm moves, then adds l**order // k**order for each k; for
-    order <= 0 it adds k**-order.
-    """
+    """H_c^(order) = sum_{k=1}^{c} k**(-order): by direct summation for order
+    >= 1, and otherwise as ``faulhaber_poly(-order)`` at c, as canonical forms do."""
     if c < 0:
         raise ValueError(f"harmonic number at negative argument {c}")
+    if order <= 0:
+        return faulhaber_poly(-order).evaluate(c)
+    num, l = _prefix(order, c)[c]
+    return Fraction(num, l**order)
+
+
+def _prefix(order: int, c: int) -> list[tuple[int, int]]:
+    """The memoized pairs of H_0^(order), H_1^(order), ..., grown to index c at
+    least: the step to index k scales the numerator by (l_new // l)**order
+    where the lcm moves, then adds l**order // k**order."""
     prefix = _VALUE_CACHE.get(order)
     if prefix is None or len(prefix) <= c:
         with _VALUE_LOCK:
             prefix = _VALUE_CACHE.setdefault(order, [(0, 1)])
             num, l = prefix[-1]
-            big = l**order if order > 0 else 1
+            big = l**order
             while len(prefix) <= c:
                 k = len(prefix)
-                if order > 0:
-                    step = k // gcd(l % k, k)  # lcm(l, k) // l
-                    if step > 1:
-                        scale = int_pow(step, order)
-                        l, big, num = l * step, big * scale, num * scale
-                    num += big // int_pow(k, order)
-                else:
-                    num += int_pow(k, -order)
+                step = k // gcd(l % k, k)  # lcm(l, k) // l
+                if step > 1:
+                    scale = int_pow(step, order)
+                    l, big, num = l * step, big * scale, num * scale
+                num += big // int_pow(k, order)
                 prefix.append((num, l))
-    return prefix[c]
+    return prefix
 
 
 class ClosedForm:
@@ -291,52 +288,50 @@ def evaluate_cf(cf: ClosedForm, n: int) -> Fraction:
 
 def _evaluate_pairs(cf: ClosedForm, n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
     """The value of the closed form at each integer n = n_lo..n_hi, n_lo >= 0,
-    as an unreduced pair (num, den), den > 0.
+    as an unreduced pair (num, den), den > 0; an empty range yields nothing.
 
-    Each coefficient is planned once per sweep (``_plan``), and each
-    symbol's prefix is grown once, to its argument at n_hi, the sweep's
-    largest since a >= 0. Per n, each part is an unreduced integer pair: the
-    constant's, and each coefficient's times its harmonic value's prefix
-    entry (h, l**order). The numerators are scaled to the common denominator
-    den, the running lcm of the parts' denominators, and summed as integers.
-    Raises ``PoleError`` at a coefficient's pole, and ``ValueError`` at a
-    negative symbol argument, each at the first n where it occurs.
+    Each coefficient is planned once per sweep (``_plan``). Each symbol's
+    argument is smallest at n_lo and largest at n_hi, since a >= 1, so a
+    negative argument is refused with ``ValueError`` before the first pair,
+    and the symbol's prefix is grown once, to its argument at n_hi. Per n,
+    the sum starts from the constant's pair, and each term's pair is its
+    coefficient's times the prefix entry (h, l**order). The running
+    denominator is the lcm of the pairs' denominators so far; when it grows,
+    the running numerator is scaled up to it. Raises ``PoleError`` at the
+    first n where a coefficient has a pole.
     """
     if n_lo < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n_lo}")
+    if n_lo > n_hi:
+        return
     constant = _plan(cf.constant)
     terms = []
     for sym, coeff in cf.terms:
         a, b, order = sym.arg.a, sym.arg.b, sym.order
-        _harmonic_pair(max(a * n_hi + b, 0), order)  # grows the prefix, under the lock
-        terms.append((_plan(coeff), a, b, order, _VALUE_CACHE[order]))
+        if a * n_lo + b < 0:
+            raise ValueError(f"harmonic number at negative argument {a * n_lo + b}")
+        terms.append((_plan(coeff), a, b, order, _prefix(order, a * n_hi + b)))
     for n in range(n_lo, n_hi + 1):
-        parts = [_plan_value(constant, n)]
+        total, common = _plan_value(constant, n)
         for coeff, a, b, order, prefix in terms:
             num, den = _plan_value(coeff, n)
-            c = a * n + b
-            h, l = prefix[c] if c >= 0 else _harmonic_pair(c, order)  # c < 0 raises
-            parts.append((num * h, den * l**order))
-        common = 1
-        for _, den in parts:
+            h, l = prefix[a * n + b]
+            den *= l**order
             if common % den:
-                common = lcm(common, den)
-        total = 0
-        for num, den in parts:
-            total += num * (common // den)
+                grown = lcm(common, den)
+                total *= grown // common
+                common = grown
+            total += num * h * (common // den)
         yield total, common
 
 
 # A coefficient planned for integer evaluation: its numerators, highest power
-# first, its denominator, and its poles r = rp/rq as integer triples (rp, rq, e).
-_Plan = tuple[tuple[int, ...], int, tuple[tuple[int, int, int], ...]]
+# first, its denominator, and its poles (r, e) as stored.
+_Plan = tuple[tuple[int, ...], int, tuple[Pole, ...]]
 
 
 def _plan(rf: RationalFunction) -> _Plan:
-    # most coefficients have no pole, and skipping the empty loop halves the
-    # plan's cost, which a one-point sweep pays in full
-    poles = tuple([(r.numerator, r.denominator, e) for r, e in rf.poles]) if rf.poles else ()
-    return rf.num.nums[::-1], rf.num.den, poles
+    return rf.num.nums[::-1], rf.num.den, rf.poles
 
 
 def _plan_value(plan: _Plan, n: int) -> tuple[int, int]:
@@ -347,8 +342,9 @@ def _plan_value(plan: _Plan, n: int) -> tuple[int, int]:
     num = 0
     for c in nums:
         num = num * n + c
-    for rp, rq, e in poles:
-        gap = n * rq - rp
+    for r, e in poles:
+        rq = r.denominator
+        gap = n * rq - r.numerator
         if not gap:
             raise PoleError(f"pole at n = {n}")
         num *= rq**e

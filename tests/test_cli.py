@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, output files."""
 
+import errno
 import hashlib
 import json
 import os
@@ -645,6 +646,26 @@ class TestAuxiliaryCommands:
         assert captured.out == ""
         assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    @pytest.mark.parametrize("kind", ["file-as-parent", "directory-as-path"])
+    def test_unopenable_output_is_refused_before_the_sweep(
+        self, capsys, monkeypatch, tmp_path, command, kind
+    ):
+        monkeypatch.setattr(cli, "grid_rows", None)  # no sweep may start first
+        monkeypatch.setattr(cli, "sbp_rows", None)
+        monkeypatch.setattr(cli, "corollary_rows", None)
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        target = tmp_path / "file" / "x" if kind == "file-as-parent" else tmp_path
+        with pytest.raises(OSError) as refused:  # what the late open would raise
+            open(target, "w", encoding="utf-8")
+        code = main([command, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {refused.value}\n"
+        assert refused.value.errno == (errno.ENOTDIR if kind == "file-as-parent" else errno.EISDIR)
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
     def test_refused_command_leaves_an_existing_output_untouched(self, capsys, tmp_path):
         # the output is opened only after the handler has returned

@@ -8,6 +8,7 @@ from harmonic_sums import (
     ClosedForm,
     HarmonicSymbol,
     LinearArg,
+    PoleError,
     Polynomial,
     RationalFunction,
     evaluate_cf,
@@ -174,6 +175,21 @@ class TestEvaluation:
             next(pairs)
         values = [Fraction(*pair) for pair in _evaluate_pairs(cf, 3, 5)]
         assert values == [evaluate_cf(cf, n) for n in range(3, 6)] == [0, 1, Fraction(3, 2)]
+        # an empty sweep yields nothing and refuses nothing
+        assert list(_evaluate_pairs(cf, 2, 1)) == list(_evaluate_pairs(cf, 5, 3)) == []
+        # the argument is checked once, before the first pair, so a pole at
+        # n_lo in the constant or in the coefficient itself does not come first
+        pole = 1 / LinearArg(1, -2).as_poly()
+        sym = HarmonicSymbol(LinearArg(1, -4), 1)
+        with pytest.raises(PoleError, match=r"^pole at n = 2$"):
+            next(_evaluate_pairs(ClosedForm(pole), 2, 6))
+        for cf in (ClosedForm(pole, {sym: 1}), ClosedForm(0, {sym: pole})):
+            with pytest.raises(ValueError, match=r"^harmonic number at negative argument -2$"):
+                next(_evaluate_pairs(cf, 2, 6))
+        pairs = _evaluate_pairs(ClosedForm(1 / LinearArg(1, -5).as_poly(), {sym: 1}), 4, 6)
+        assert Fraction(*next(pairs)) == -1  # 1/(4-5) + H_0
+        with pytest.raises(PoleError, match=r"^pole at n = 5$"):
+            next(pairs)
 
     def test_equal_forms_agree_everywhere(self):
         lhs = sum_f(0, 2)

@@ -240,22 +240,27 @@ def empty_prefix_caches():
 @example(1, 0, [7, 7, 0])
 def test_prefix_caches_match_fraction_reference(c, m, reads):
     """Each cache entry is the unreduced pair (num, l), l = lcm(c+1..c+k),
-    whose value num / l**m is the running Fraction sum; for m <= 0 it is (sum, 1)."""
+    whose value num / l**m is the running Fraction sum; for m <= 0 it is
+    (sum, 1). closed_form keeps a table for m >= 1 only: below that,
+    ``harmonic_value`` is the power-sum polynomial's value."""
     reference = reference_prefix(c, m, 60)
     plain = reference_prefix(0, m, c + 60)
     with empty_prefix_caches():
         for n in reads:
             assert harmonic_direct(c, n, m) == reference[n]
             assert closed_form.harmonic_value(c + n, m) == plain[c + n]
-            for base, entry, value in (
-                (c, oracle._prefix(c, m, n)[n], reference[n]),
-                (0, closed_form._harmonic_pair(c + n, m), plain[c + n]),
-            ):
+            entries = [(c, oracle._prefix(c, m, n)[n], reference[n])]
+            if m > 0:
+                entries.append((0, closed_form._prefix(m, c + n)[c + n], plain[c + n]))
+            for base, entry, value in entries:
                 l = lcm(*range(base + 1, c + n + 1)) if m > 0 else 1
                 assert entry == (value * l ** max(m, 0), l)
         # one pair per index, up to the highest read
         assert len(oracle._PREFIX[c, m]) == max(reads) + 1
-        assert len(closed_form._VALUE_CACHE[m]) == c + max(reads) + 1
+        if m > 0:
+            assert len(closed_form._VALUE_CACHE[m]) == c + max(reads) + 1
+        else:
+            assert closed_form._VALUE_CACHE == {}
 
 
 def literal_double_sum(family, p, m, s, n):

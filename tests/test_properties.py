@@ -42,9 +42,19 @@ from harmonic_sums.render import factor_for_display
 
 MANY = settings(max_examples=200, deadline=None)
 
-fractions = st.fractions(
-    min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
-)
+
+def _fraction(d, k):
+    """The k-th of the 40d + 1 fractions j/d in [-20, 20], in the order 0, 1/d,
+    -1/d, 2/d, -2/d, ..., so that the zero draw is 0 and shrinking moves toward it."""
+    k %= 40 * d + 1
+    return Fraction((k + 1) // 2 if k % 2 else -(k // 2), d)
+
+
+# The values of st.fractions(-20, 20, max_denominator=12), drawn without its
+# flatmap, which builds a new numerator strategy on every draw; the boundaries
+# it favours (0, +-20, denominator 12) are also @examples of the tests that
+# draw fractions directly.
+fractions = st.builds(_fraction, st.integers(1, 12), st.integers(0, 480))
 
 polynomials = st.lists(fractions, min_size=0, max_size=4).map(Polynomial.of)
 
@@ -374,6 +384,7 @@ scalars = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
 @given(st.lists(fractions, max_size=9), st.integers(min_value=-60, max_value=60).filter(bool))
 @example([], 7)
 @example([Fraction(2, 3), 0, 4, 0, 0], -6)
+@example([Fraction(20), Fraction(-239, 12), 0, Fraction(-20)], 12)
 def test_layout_is_canonical_for_any_scaling(coeffs, den):
     # the same polynomial given as Fractions, or as integers over a denominator
     poly = Polynomial.of([Fraction(c, den) for c in coeffs])
@@ -422,6 +433,8 @@ def test_scalar_product_and_quotient_match_fraction_reference(poly, c):
 @example(Polynomial.of([Fraction(-3, 2), 1]), Fraction(3, 2))
 @example(Polynomial([5]), Fraction(0))
 @example(Polynomial.of([Fraction(1, 3), 0, 1]), Fraction(-1, 4))
+@example(Polynomial.of([Fraction(-20), Fraction(1, 12)]), Fraction(20))
+@example(Polynomial.of([20]), Fraction(-239, 12))
 def test_divide_linear_matches_fraction_synthetic_division(poly, root):
     # a drawn poly is rarely divisible, so also divide its multiple by n - root
     multiple = poly * Polynomial.linear(1, -root)

@@ -1,0 +1,165 @@
+"""Random command lines for `harmsum`, run in this process through `cli.main`.
+
+    python3 tools/fuzz_cli.py --seconds 60 --seed 1
+
+Draws argv for every command from small ranges, and malformed argv: values
+out of bounds or not integers, unknown flags, a missing required flag,
+flag combinations that `check` refuses, and `--output` paths (inside a
+temporary directory only) that cannot be opened. Each run's output is
+captured and dropped; no process is started.
+
+Prints a JSON summary: the runs per command and exit code, the slowest run,
+and every problem. A problem is an exit code other than 0 or 2 (a 1 means
+an identity failed its check), an exception other than `SystemExit`, or a
+run over 5 s. Exits 1 if there is any problem, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+import time
+import traceback
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from harmonic_sums import cli  # noqa: E402
+
+RUN_BUDGET_S = 5.0
+COMMANDS = ("identity", "table", "verify", "check", "bernoulli", "faulhaber")
+INTEGER_FLAGS = ("--p", "--m", "--w", "--offset-a", "--offset-b", "--n-max")
+# values just past the bounds of some integer flags (and small enough to be
+# quick where another flag accepts them), past every bound, or not integers
+MALFORMED = ("-1", "-11", "11", "41", "81", "-1001", "10001", "x", "1.5", "", "1e3")
+
+
+def _flag(rng: random.Random, argv: list[str], name: str, low: int, high: int) -> None:
+    """Append `name value` half of the time, with value drawn in [low, high]."""
+    if rng.random() < 0.5:
+        argv += [name, str(rng.randint(low, high))]
+
+
+def draw_argv(rng: random.Random, tmp: str) -> list[str]:
+    command = rng.choice(COMMANDS)
+    argv = [command]
+    if command == "identity":
+        argv += ["--family", rng.choice("fg"), "--p", str(rng.randint(0, 12))]
+        argv += ["--m", str(rng.randint(-10, 10))]
+        _flag(rng, argv, "--offset-a", 0, 3)
+        _flag(rng, argv, "--offset-b", 0, 3)
+    elif command == "verify":
+        if rng.random() < 0.5:
+            argv += ["--family", rng.choice(("f", "g", "both"))]
+        _flag(rng, argv, "--p", 0, 12)
+        _flag(rng, argv, "--m", -10, 10)
+        _flag(rng, argv, "--offset-a", 0, 3)
+        _flag(rng, argv, "--offset-b", 0, 3)
+        _flag(rng, argv, "--n-max", 0, 60)
+    elif command == "check":
+        if rng.random() < 0.5:
+            argv.append("--sbp")
+        if rng.random() < 0.5:
+            argv += ["--corollary", rng.choice((*cli.COROLLARY_START, "both"))]
+        _flag(rng, argv, "--m", -10, 10)
+        _flag(rng, argv, "--w", -10, 10)
+        _flag(rng, argv, "--n-max", 0, 60)
+    elif command == "bernoulli":
+        _flag(rng, argv, "--n-max", 0, 200)
+    elif command == "faulhaber":
+        argv += ["--p", str(rng.randint(0, 200))]
+    if rng.random() < 0.5:
+        argv += ["--format", rng.choice(("text", "latex", "json"))]
+    if rng.random() < 0.2:
+        argv += ["--output", rng.choice(_outputs(tmp))]
+    if rng.random() < 0.25:
+        _spoil(rng, argv)
+    return argv
+
+
+def _outputs(tmp: str) -> tuple[str, ...]:
+    """Output paths in the temporary directory: a new file, an existing one,
+    under a missing directory, under a file, and the directory itself."""
+    return (
+        os.path.join(tmp, "out"),
+        os.path.join(tmp, "existing"),
+        os.path.join(tmp, "missing", "out"),
+        os.path.join(tmp, "existing", "out"),
+        tmp,
+        tmp + os.sep,
+    )
+
+
+def _spoil(rng: random.Random, argv: list[str]) -> None:
+    """Make argv malformed in one way."""
+    numbers = [i for i in range(2, len(argv)) if argv[i - 1] in INTEGER_FLAGS]
+    how = rng.randrange(4)
+    if how == 0 and numbers:
+        argv[rng.choice(numbers)] = rng.choice(MALFORMED)
+    elif how == 1:
+        extra = ("--bogus", "--p", "--format", "--n-max=3", "-x", "--sbp")
+        argv.insert(rng.randint(1, len(argv)), rng.choice(extra))
+    elif how == 2 and len(argv) > 1:
+        del argv[rng.randint(1, len(argv) - 1)]  # drops a flag or leaves one without its value
+    else:
+        argv[0] = rng.choice(("", "verif", "tables", "--help", "identity"))
+
+
+def run_one(argv: list[str]) -> tuple[int | str, float, str | None]:
+    """The exit code of main(argv), its time, and a traceback if it raised
+    anything but SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    error = None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code: int | str = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses, or --help
+        code = exc.code if isinstance(exc.code, int) else 2
+    except Exception:  # every other exception is a finding
+        code, error = "exception", traceback.format_exc()
+    return code, time.perf_counter() - start, error
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seconds", type=float, default=60.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    counts: Counter[str] = Counter()
+    problems: list[dict] = []
+    slowest = (0.0, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "existing").write_text("kept\n", encoding="utf-8")
+        deadline = time.perf_counter() + args.seconds
+        while time.perf_counter() < deadline:
+            run_argv = draw_argv(rng, tmp)
+            code, seconds, error = run_one(run_argv)
+            counts[f"{run_argv[0] or '(empty)'} {code}"] += 1
+            slowest = max(slowest, (seconds, run_argv))
+            if error or code not in (0, 2):
+                problems.append({"argv": run_argv, "problem": error or f"exit {code}"})
+            elif seconds > RUN_BUDGET_S:
+                problems.append({"argv": run_argv, "problem": f"took {seconds:.2f} s"})
+    summary = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "runs": sum(counts.values()),
+        "by_command_exit": dict(sorted(counts.items())),
+        "slowest": {"seconds": round(slowest[0], 3), "argv": slowest[1]},
+        "problems": problems,
+    }
+    print(json.dumps(summary, indent=2))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
