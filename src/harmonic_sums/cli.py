@@ -18,11 +18,12 @@ any verification cell fails, 2 on invalid usage.
 from __future__ import annotations
 
 import argparse
-import errno
+import contextlib
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from typing import Callable, Iterator, Sequence
 
@@ -89,46 +90,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
         sys.set_int_max_str_digits(0)  # exact values may have any number of digits
     args = _build_parser().parse_args(argv)
+    created = False
     try:
-        # the file itself is opened only once the handler has returned
-        if args.output:
-            _check_output(args.output)
-        code, out = args.handler(args)
-        text = json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                print(text, file=handle)
-        else:
-            print(text)
-            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        # `open` alone judges --output, once and before the work
+        sink = contextlib.nullcontext(sys.stdout)
+        if args.output is not None:
+            try:
+                sink, created = open(args.output, "x", encoding="utf-8"), True
+            except FileExistsError:  # its bytes stay as they are until the work is done
+                sink = open(args.output, "a", encoding="utf-8")
+        with sink as handle:
+            code, out = args.handler(args)
+            text = json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)
+            if args.output is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate(0)  # as O_TRUNC would have: a regular file only
+            print(text, file=handle)
+            handle.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:  # the reader stopped early (`| head`): not a usage error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush error at exit
         return code
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if created:  # a refused command leaves no file behind
+            os.remove(args.output)
         return 2
-
-
-def _check_output(path: str) -> None:
-    """Refuse, before the work, an output path that `open(path, "w")` would
-    refuse after it, with the same errno and message: a missing parent, a
-    file on the way to it, a directory as the path, or no write access."""
-    parent = os.path.dirname(path.rstrip(os.sep)) or "."
-    try:
-        os.stat(parent)
-    except OSError as exc:
-        code = exc.errno
-    else:
-        if not os.path.isdir(parent):
-            code = errno.ENOTDIR
-        elif path.endswith(os.sep) or os.path.isdir(path):
-            code = errno.EISDIR
-        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-            code = errno.EACCES
-        else:
-            return
-    raise OSError(code, os.strerror(code), path)
 
 
 def _in(low: int, high: float = math.inf) -> Callable[[str], int]:
@@ -265,43 +251,20 @@ def _cmd_table(args: argparse.Namespace) -> Result:
     ]
 
 
-def _verify_grids(args: argparse.Namespace) -> list[dict]:
-    """The grids a `verify` run sweeps, one per family, keyed as its JSON report."""
-    filtered = any(
-        getattr(args, name) is not None
-        for name in ("family", "p", "m", "offset_a", "offset_b", "n_max")
-    )
-    p_range = (args.p, args.p) if args.p is not None else DEFAULT_GRID["p"]
-    m_range = (args.m, args.m) if args.m is not None else DEFAULT_GRID["m"]
+def _cmd_verify(args: argparse.Namespace) -> Result:
+    """Stream every row of each family's grid, counting cells and keeping only the failures."""
+    p_lo, p_hi = (args.p, args.p) if args.p is not None else DEFAULT_GRID["p"]
+    m_lo, m_hi = (args.m, args.m) if args.m is not None else DEFAULT_GRID["m"]
     n_max = args.n_max if args.n_max is not None else DEFAULT_GRID["n_max"]
     if args.offset_a is not None or args.offset_b is not None:
-        offsets: tuple[LinearArg, ...] = (
-            LinearArg(args.offset_a or 0, args.offset_b or 0),
-        )
-    elif filtered:
-        offsets = (LinearArg(0, 0),)
+        offsets: tuple[LinearArg, ...] = (LinearArg(args.offset_a or 0, args.offset_b or 0),)
+    elif any(getattr(args, name) is not None for name in ("family", "p", "m", "n_max")):
+        offsets = (LinearArg(0, 0),)  # any filter narrows the offsets to s = 0
     else:
         offsets = DEFAULT_GRID["offsets"]
-    families = ("F", "G") if args.family in (None, "both") else (args.family.upper(),)
-    return [
-        {
-            "family": family,
-            "p_range": p_range,
-            "m_range": m_range,
-            "offsets": offsets,
-            "n_range": (0, n_max),
-        }
-        for family in families
-    ]
-
-
-def _cmd_verify(args: argparse.Namespace) -> Result:
-    """Stream every row of every grid, counting cells and keeping only the failures."""
     lines: list[str] = []
     reports: list[dict] = []
-    for grid in _verify_grids(args):
-        family, offsets, n_max = grid["family"], grid["offsets"], grid["n_range"][1]
-        (p_lo, p_hi), (m_lo, m_hi) = grid["p_range"], grid["m_range"]
+    for family in ("F", "G") if args.family in (None, "both") else (args.family.upper(),):
         total = 0
         failures: list[tuple[int, int, LinearArg, CheckRow]] = []
         for p in range(p_lo, p_hi + 1):
@@ -323,8 +286,11 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
         )
         reports.append(
             {
-                **grid,
+                "family": family,
+                "p_range": [p_lo, p_hi],
+                "m_range": [m_lo, m_hi],
                 "offsets": [_offset_json(s) for s in offsets],
+                "n_range": [0, n_max],
                 "total": total,
                 "passed": total - len(failures),
                 "failed": len(failures),
@@ -335,10 +301,8 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
             }
         )
     all_ok = not any(report["failed"] for report in reports)
-    if args.format == "json":
-        return 0 if all_ok else 1, {"all_passed": all_ok, "grids": reports}
-    lines.append("all identities verified" if all_ok else "verification FAILED")
-    return 0 if all_ok else 1, lines
+    closing = ("all identities verified", "verification FAILED")
+    return _verdict(args, all_ok, "grids", reports, lines, closing)
 
 
 def _cmd_check(args: argparse.Namespace) -> Result:
@@ -385,10 +349,19 @@ def _cmd_check(args: argparse.Namespace) -> Result:
         record(label, entry, corollary_rows(which, corollary_n_max))
 
     all_ok = all(entry["passed"] for entry in results)
+    return _verdict(args, all_ok, "checks", results, lines, ("all checks passed", "checks FAILED"))
+
+
+def _verdict(
+    args: argparse.Namespace, all_ok: bool, key: str, reports: list[dict], lines: list[str],
+    closing: tuple[str, str],
+) -> Result:
+    """How `verify` and `check` end: exit 0 or 1, and the reports under `key`
+    (JSON) or the lines and `closing`'s line for that exit code (text)."""
+    code = 0 if all_ok else 1
     if args.format == "json":
-        return 0 if all_ok else 1, {"all_passed": all_ok, "checks": results}
-    lines.append("all checks passed" if all_ok else "checks FAILED")
-    return 0 if all_ok else 1, lines
+        return code, {"all_passed": all_ok, key: reports}
+    return code, [*lines, closing[code]]
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> Result:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -266,28 +267,34 @@ class TestTable:
 
 
 class TestVerify:
-    def test_bare_verify_selects_the_full_default_grid(self):
+    def test_bare_verify_selects_the_full_default_grid(self, capsys, monkeypatch):
         # the full sweep itself runs in the acceptance suite; here we pin
-        # the argument glue that a bare `verify` expands to it
-        import argparse
-
-        from harmonic_sums.cli import DEFAULT_GRID, _verify_grids
-
-        args = argparse.Namespace(
-            family=None, p=None, m=None, offset_a=None, offset_b=None, n_max=None
-        )
-        assert _verify_grids(args) == [
-            {
-                "family": family,
-                "p_range": DEFAULT_GRID["p"],
-                "m_range": DEFAULT_GRID["m"],
-                "offsets": DEFAULT_GRID["offsets"],
-                "n_range": (0, DEFAULT_GRID["n_max"]),
-            }
+        # the argument glue that a bare `verify` expands to it, and that
+        # one filter narrows the offsets to s = 0
+        monkeypatch.setattr(cli, "grid_rows", lambda *args: iter(()))
+        code, out = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        default_offsets = [{"a": s.a, "b": s.b} for s in cli.DEFAULT_GRID["offsets"]]
+        assert [
+            (grid["family"], grid["p_range"], grid["m_range"], grid["offsets"], grid["n_range"])
+            for grid in json.loads(out)["grids"]
+        ] == [
+            (
+                family,
+                list(cli.DEFAULT_GRID["p"]),
+                list(cli.DEFAULT_GRID["m"]),
+                default_offsets,
+                [0, cli.DEFAULT_GRID["n_max"]],
+            )
             for family in ("F", "G")
         ]
-        assert DEFAULT_GRID["p"] == (0, 6) and DEFAULT_GRID["m"] == (1, 5)
-        assert len(DEFAULT_GRID["offsets"]) == 9 and DEFAULT_GRID["n_max"] == 40
+        assert cli.DEFAULT_GRID["p"] == (0, 6) and cli.DEFAULT_GRID["m"] == (1, 5)
+        assert len(cli.DEFAULT_GRID["offsets"]) == 9 and cli.DEFAULT_GRID["n_max"] == 40
+        code, out = run(capsys, "verify", "--p", "1", "--format", "json")
+        assert code == 0
+        for grid in json.loads(out)["grids"]:
+            assert grid["p_range"] == [1, 1] and grid["offsets"] == [{"a": 0, "b": 0}]
+            assert grid["m_range"] == list(cli.DEFAULT_GRID["m"])
 
     def test_single_row(self, capsys):
         code, out = run(
@@ -668,13 +675,104 @@ class TestAuxiliaryCommands:
         assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
     def test_refused_command_leaves_an_existing_output_untouched(self, capsys, tmp_path):
-        # the output is opened only after the handler has returned
+        # the output is opened for append before the handler runs, and
+        # emptied only once it has returned
         target = tmp_path / "out"
         target.write_text("kept\n", encoding="utf-8")
         code = main(["check", "--corollary", "inv_k", "--m", "1", "--output", str(target)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --m restricts")
         assert target.read_text(encoding="utf-8") == "kept\n"
+
+    def test_refused_command_leaves_no_new_output_behind(self, capsys, tmp_path):
+        target = tmp_path / "out"
+        code = main(["check", "--corollary", "inv_k", "--m", "1", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --m restricts")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_output_path_is_refused(self, capsys):
+        # an empty --output names no file; it does not mean stdout
+        code = main(["faulhaber", "--p", "2", "--output", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "out\0x",
+            pytest.param(
+                "/proc/no-such-entry",
+                marks=pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc"),
+            ),
+            pytest.param(
+                "/proc/no-such-entry/x",
+                marks=pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc"),
+            ),
+        ],
+        ids=["nul-byte", "proc-entry", "under-proc-entry"],
+    )
+    def test_output_refused_by_open_before_the_sweep(self, capsys, monkeypatch, target):
+        monkeypatch.setattr(cli, "grid_rows", None)  # no sweep may start first
+        monkeypatch.setattr(cli, "sbp_rows", None)
+        monkeypatch.setattr(cli, "corollary_rows", None)
+        with pytest.raises((OSError, ValueError)) as refused:  # `open` is the only judge
+            open(target, "w", encoding="utf-8")
+        code = main(["verify", "--output", target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {refused.value}\n"
+
+    def test_output_is_open_while_the_command_runs(self, capsys, monkeypatch, tmp_path):
+        # a new file exists, empty, during the work; an existing one keeps its bytes
+        target = tmp_path / "out"
+        seen = []
+
+        def rows(*args):
+            seen.append(target.read_bytes())
+            return iter(())
+
+        monkeypatch.setattr(cli, "grid_rows", rows)
+        argv = ("verify", "--family", "f", "--p", "0", "--m", "1", "--output", str(target))
+        assert run(capsys, *argv) == (0, "")
+        written = target.read_bytes()
+        target.write_bytes(b"kept\n")
+        assert run(capsys, *argv) == (0, "")
+        assert seen == [b"", b"kept\n"]
+        assert target.read_bytes() == written
+
+    @pytest.mark.parametrize("kind", ["dev-null", "regular-file", "fifo"])
+    def test_output_gets_the_bytes_stdout_would(self, capsys, tmp_path, kind):
+        argv = ("verify", "--p", "1", "--m", "1", "--n-max", "3", "--format", "json")
+        code, printed = run(capsys, *argv)
+        assert code == 0
+        if kind == "dev-null":
+            assert run(capsys, *argv, "--output", os.devnull) == (0, "")
+            assert Path(os.devnull).exists()
+            return
+        target = tmp_path / "out"
+        if kind == "regular-file":  # longer than the output: emptied before the write
+            target.write_text("x" * 10 * len(printed), encoding="utf-8")
+            assert run(capsys, *argv, "--output", str(target)) == (0, "")
+            assert target.read_bytes() == printed.encode("utf-8")
+            return
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("named pipes are POSIX")
+        os.mkfifo(target)
+        received = []
+
+        def read_all():
+            with open(target, "rb") as pipe:  # blocks until `main` opens the writer
+                received.append(pipe.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        assert run(capsys, *argv, "--output", str(target)) == (0, "")
+        reader.join(timeout=30)
+        assert received == [printed.encode("utf-8")]
 
     @pytest.mark.parametrize(
         "script,argv,code",

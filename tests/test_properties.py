@@ -43,10 +43,11 @@ from harmonic_sums.render import factor_for_display
 MANY = settings(max_examples=200, deadline=None)
 
 
-def _fraction(d, k):
-    """The k-th of the 40d + 1 fractions j/d in [-20, 20], in the order 0, 1/d,
-    -1/d, 2/d, -2/d, ..., so that the zero draw is 0 and shrinking moves toward it."""
-    k %= 40 * d + 1
+def _fraction(d, k, bound=20):
+    """The k-th of the 2 * bound * d + 1 fractions j/d in [-bound, bound], in the
+    order 0, 1/d, -1/d, 2/d, -2/d, ..., so that the zero draw is 0 and shrinking
+    moves toward it."""
+    k %= 2 * bound * d + 1
     return Fraction((k + 1) // 2 if k % 2 else -(k // 2), d)
 
 
@@ -603,10 +604,12 @@ def reference_evaluate_cf(cf, n):
     return total
 
 
-# integer roots in 0..12 are hit by the evaluation points n below
+# integer roots in 0..12 are hit by the evaluation points n below; the
+# others are the values of st.fractions(-6, 6, max_denominator=5), drawn as
+# `fractions` is, with its boundaries (+-6, denominator 5) as @examples
 pole_roots = st.one_of(
     st.integers(min_value=0, max_value=12).map(Fraction),
-    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    st.builds(_fraction, st.integers(1, 5), st.integers(0, 60), st.just(6)),
 )
 pole_functions = st.builds(
     RationalFunction,
@@ -622,6 +625,13 @@ pole_functions = st.builds(
 # x - r = -5 to an odd power: the denominator's sign is normalised
 @example(RationalFunction(Polynomial([1]), [(Fraction(5), 1)]), [0, Fraction(1, 2)])
 @example(RationalFunction(Polynomial([2, 3]), [(Fraction(-1, 3), 3), (Fraction(4), 2)]), [1, -2])
+# the boundaries of the fractional roots: +-6 and denominator 5
+@example(
+    RationalFunction(
+        Polynomial([1]), [(Fraction(-6), 2), (Fraction(-29, 5), 3), (Fraction(6), 1)]
+    ),
+    [Fraction(29, 5), 0, Fraction(-6)],
+)
 def test_rational_value_at_matches_fraction_reference(rf, xs):
     poles = [r for r, _ in rf.poles]
     for x in xs + poles:
@@ -670,6 +680,15 @@ def test_evaluate_cf_matches_fraction_reference_on_built_forms(cf, shifted_symbo
     {HarmonicSymbol(LinearArg(1, 0), 2): RationalFunction(Polynomial([1, 1]), [(Fraction(-1, 2), 1)])},
     3,
 )
+@example(
+    RationalFunction(Polynomial([1]), [(Fraction(-6), 1), (Fraction(6), 2)]),
+    {
+        HarmonicSymbol(LinearArg(2, 1), 3): RationalFunction(
+            Polynomial([3]), [(Fraction(-29, 5), 1)]
+        )
+    },
+    6,
+)
 def test_evaluate_cf_matches_fraction_reference_with_poles(constant, terms, n):
     cf = ClosedForm(constant, terms)
     poles = {r for rf in (cf.constant, *(c for _, c in cf.terms)) for r, _ in rf.poles}
@@ -704,6 +723,18 @@ sweep_forms = st.one_of(
     9,
 )
 @example(build_closed_form("G", 3, 2, LinearArg(2, 1)), 0, 15)
+@example(
+    ClosedForm(
+        RationalFunction(Polynomial([1]), [(Fraction(-6), 1), (Fraction(6, 5), 2)]),
+        {
+            HarmonicSymbol(LinearArg(1, 0), 1): RationalFunction(
+                Polynomial([1]), [(Fraction(-29, 5), 1), (Fraction(6), 1)]
+            )
+        },
+    ),
+    0,
+    15,
+)
 def test_evaluate_pairs_match_fraction_reference(cf, lo, hi):
     n_lo, n_hi = min(lo, hi), max(lo, hi)
     poles = {r for rf in (cf.constant, *(c for _, c in cf.terms)) for r, _ in rf.poles}

@@ -4,14 +4,17 @@
 
 Draws argv for every command from small ranges, and malformed argv: values
 out of bounds or not integers, unknown flags, a missing required flag,
-flag combinations that `check` refuses, and `--output` paths (inside a
-temporary directory only) that cannot be opened. Each run's output is
-captured and dropped; no process is started.
+flag combinations that `check` refuses, and `--output` paths: inside a
+temporary directory (a new file, an existing one, and paths that cannot be
+opened), the empty path, a path with a NUL byte, and the null device. Each
+run's output is captured and dropped; no process is started.
 
 Prints a JSON summary: the runs per command and exit code, the slowest run,
 and every problem. A problem is an exit code other than 0 or 2 (a 1 means
-an identity failed its check), an exception other than `SystemExit`, or a
-run over 5 s. Exits 1 if there is any problem, else 0.
+an identity failed its check), an exception other than `SystemExit`, a run
+over 5 s, or an `--output` file that breaks the promise of the README: after
+exit 0 or 1 it must hold the output, and after exit 2 a new file must be
+gone and an existing one unchanged. Exits 1 if there is any problem, else 0.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ def draw_argv(rng: random.Random, tmp: str) -> list[str]:
 
 
 def _outputs(tmp: str) -> tuple[str, ...]:
-    """Output paths in the temporary directory: a new file, an existing one,
-    under a missing directory, under a file, and the directory itself."""
+    """Output paths: in the temporary directory a new file, an existing one,
+    one under a missing directory, one under a file, and the directory itself;
+    and outside it the empty path, a path with a NUL byte and the null device."""
     return (
         os.path.join(tmp, "out"),
         os.path.join(tmp, "existing"),
@@ -94,7 +98,30 @@ def _outputs(tmp: str) -> tuple[str, ...]:
         os.path.join(tmp, "existing", "out"),
         tmp,
         tmp + os.sep,
+        "",
+        os.path.join(tmp, "nul\0out"),
+        os.devnull,
     )
+
+
+def _read(path: str) -> bytes | None:
+    """The bytes of a readable file at path, else None."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _output_problem(path: str, code: int | str, before: bytes | None) -> str | None:
+    """What is wrong with the --output file after a run, given its bytes before."""
+    after = _read(path)
+    if code in (0, 1) and path != os.devnull:  # the old bytes are never a whole output
+        if after is None or after == before or not after.endswith(b"\n"):
+            return f"exit {code} but the --output file holds no output: {after!r}"
+    if code == 2 and after != before:
+        return "exit 2 left a new --output file" if before is None else "exit 2 changed --output"
+    return None
 
 
 def _spoil(rng: random.Random, argv: list[str]) -> None:
@@ -138,10 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[dict] = []
     slowest = (0.0, [])
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "existing").write_text("kept\n", encoding="utf-8")
         deadline = time.perf_counter() + args.seconds
         while time.perf_counter() < deadline:
             run_argv = draw_argv(rng, tmp)
+            Path(tmp, "existing").write_text("kept\n", encoding="utf-8")
+            Path(tmp, "out").unlink(missing_ok=True)  # a new file on every run
+            # the last --output's path, unless no command runs to open it (`--help`)
+            outputs = [a for i, a in enumerate(run_argv[1:]) if run_argv[i] == "--output"]
+            path = outputs[-1] if outputs and run_argv[0] in COMMANDS else None
+            before = None if path is None else _read(path)
             code, seconds, error = run_one(run_argv)
             counts[f"{run_argv[0] or '(empty)'} {code}"] += 1
             slowest = max(slowest, (seconds, run_argv))
@@ -149,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                 problems.append({"argv": run_argv, "problem": error or f"exit {code}"})
             elif seconds > RUN_BUDGET_S:
                 problems.append({"argv": run_argv, "problem": f"took {seconds:.2f} s"})
+            elif path is not None and (problem := _output_problem(path, code, before)):
+                problems.append({"argv": run_argv, "problem": problem})
     summary = {
         "seed": args.seed,
         "seconds": args.seconds,
