@@ -107,10 +107,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(text, file=handle)
             handle.flush()  # a closed pipe raises here, not at exit
         return code
-    except BrokenPipeError:  # the reader stopped early (`| head`): not a usage error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush error at exit
-        return code
     except (ValueError, ZeroDivisionError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            # stdout's reader stopped early (`| head`): not a usage error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush error at exit
+            return code
         print(f"error: {exc}", file=sys.stderr)
         if created:  # a refused command leaves no file behind
             os.remove(args.output)

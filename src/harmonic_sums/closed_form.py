@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .exact import int_pow
-from .polynomial import Pole, PoleError, Polynomial, RationalFunction, _as_rf, faulhaber_poly
+from .polynomial import Polynomial, RationalFunction, _as_rf, _value_pair, faulhaber_poly
 
 __all__ = [
     "ClosedForm",
@@ -290,31 +290,33 @@ def _evaluate_pairs(cf: ClosedForm, n_lo: int, n_hi: int) -> Iterator[tuple[int,
     """The value of the closed form at each integer n = n_lo..n_hi, n_lo >= 0,
     as an unreduced pair (num, den), den > 0; an empty range yields nothing.
 
-    Each coefficient is planned once per sweep (``_plan``). Each symbol's
-    argument is smallest at n_lo and largest at n_hi, since a >= 1, so a
-    negative argument is refused with ``ValueError`` before the first pair,
-    and the symbol's prefix is grown once, to its argument at n_hi. Per n,
-    the sum starts from the constant's pair, and each term's pair is its
-    coefficient's times the prefix entry (h, l**order). The running
-    denominator is the lcm of the pairs' denominators so far; when it grows,
-    the running numerator is scaled up to it. Raises ``PoleError`` at the
-    first n where a coefficient has a pole.
+    Each coefficient's numerators are reversed once per sweep, for
+    ``_value_pair``'s integer Horner. Each symbol's argument is smallest at
+    n_lo and largest at n_hi, since a >= 1, so a negative argument is
+    refused with ``ValueError`` before the first pair, and the symbol's
+    prefix is grown once, to its argument at n_hi. Per n, the sum starts
+    from the constant's pair, and each term's pair is its coefficient's
+    times the prefix entry (h, l**order). The running denominator is the lcm
+    of the pairs' denominators so far; when it grows, the running numerator
+    is scaled up to it. Raises ``PoleError`` at the first n where a
+    coefficient has a pole.
     """
     if n_lo < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n_lo}")
     if n_lo > n_hi:
         return
-    constant = _plan(cf.constant)
+    constant = cf.constant.num.nums[::-1], cf.constant.num.den, cf.constant.poles
     terms = []
     for sym, coeff in cf.terms:
         a, b, order = sym.arg.a, sym.arg.b, sym.order
         if a * n_lo + b < 0:
             raise ValueError(f"harmonic number at negative argument {a * n_lo + b}")
-        terms.append((_plan(coeff), a, b, order, _prefix(order, a * n_hi + b)))
+        prefix = _prefix(order, a * n_hi + b)
+        terms.append((coeff.num.nums[::-1], coeff.num.den, coeff.poles, a, b, order, prefix))
     for n in range(n_lo, n_hi + 1):
-        total, common = _plan_value(constant, n)
-        for coeff, a, b, order, prefix in terms:
-            num, den = _plan_value(coeff, n)
+        total, common = _value_pair(*constant, n)
+        for nums, c_den, poles, a, b, order, prefix in terms:
+            num, den = _value_pair(nums, c_den, poles, n)
             h, l = prefix[a * n + b]
             den *= l**order
             if common % den:
@@ -323,33 +325,6 @@ def _evaluate_pairs(cf: ClosedForm, n_lo: int, n_hi: int) -> Iterator[tuple[int,
                 common = grown
             total += num * h * (common // den)
         yield total, common
-
-
-# A coefficient planned for integer evaluation: its numerators, highest power
-# first, its denominator, and its poles (r, e) as stored.
-_Plan = tuple[tuple[int, ...], int, tuple[Pole, ...]]
-
-
-def _plan(rf: RationalFunction) -> _Plan:
-    return rf.num.nums[::-1], rf.num.den, rf.poles
-
-
-def _plan_value(plan: _Plan, n: int) -> tuple[int, int]:
-    """The planned coefficient at an integer n as an unreduced pair (num, den),
-    den > 0: integer Horner, then each pole's n - r = (n*rq - rp) / rq puts
-    rq**e above and (n*rq - rp)**e below. Raises ``PoleError`` at a pole."""
-    nums, den, poles = plan
-    num = 0
-    for c in nums:
-        num = num * n + c
-    for r, e in poles:
-        rq = r.denominator
-        gap = n * rq - r.numerator
-        if not gap:
-            raise PoleError(f"pole at n = {n}")
-        num *= rq**e
-        den *= gap**e
-    return (num, den) if den > 0 else (-num, -den)
 
 
 def substitute_n(cf: ClosedForm, t: LinearArg) -> ClosedForm:

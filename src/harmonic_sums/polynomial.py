@@ -35,6 +35,39 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
+def _value_pair(
+    nums: tuple[int, ...], den: int, poles: Iterable[Pole], p: int, q: int = 1
+) -> tuple[int, int]:
+    """(nums[0] n**deg + ... + nums[deg]) / den / prod (n - r)**e at n = p/q,
+    numerators from the highest power down, as an unreduced pair (num, den),
+    den > 0: the one evaluator of polynomials, rational functions and sweeps.
+
+    Homogeneous Horner gives sum nums[deg-i] * p**i * q**(deg-i) over
+    den * q**deg; at an integer, plain Horner gives the same pair faster.
+    A pole r = rp/rq contributes n - r = (p*rq - rp*q) / (q*rq), so the pair
+    gains (q*rq)**e above and (p*rq - rp*q)**e below. Raises ``PoleError``
+    at a pole.
+    """
+    num = 0
+    if q == 1:
+        for c in nums:
+            num = num * p + c
+    elif nums:
+        num, q_power = nums[0], 1
+        for c in nums[1:]:
+            q_power *= q
+            num = num * p + c * q_power
+        den *= q_power
+    for r, e in poles:
+        rq = r.denominator
+        gap = p * rq - r.numerator * q
+        if not gap:
+            raise PoleError(f"pole at n = {Fraction(p, q)}")
+        num *= (q * rq) ** e
+        den *= gap**e
+    return (num, den) if den > 0 else (-num, -den)
+
+
 class Polynomial:
     """Polynomial in n: n**i has coefficient ``nums[i] / den``, den > 0.
 
@@ -194,20 +227,9 @@ class Polynomial:
         return Polynomial(quot, self.den)
 
     def value_at(self, x: Scalar) -> tuple[int, int]:
-        """The value at x = p/q as an unreduced pair (num, den), den > 0.
-
-        Homogeneous integer Horner: num = sum nums[i] * p**i * q**(deg-i)
-        and den = self.den * q**deg.
-        """
-        nums = self.nums
-        if not nums:
-            return 0, 1
-        p, q = x.numerator, x.denominator
-        acc, q_power = nums[-1], 1
-        for c in reversed(nums[:-1]):
-            q_power *= q
-            acc = acc * p + c * q_power
-        return acc, self.den * q_power
+        """The value at x = p/q as an unreduced pair (num, den), den > 0:
+        sum nums[i] * p**i * q**(deg-i) over den * q**deg (``_value_pair``)."""
+        return _value_pair(self.nums[::-1], self.den, (), x.numerator, x.denominator)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x, with one reduction of ``value_at``'s pair."""
@@ -403,22 +425,11 @@ class RationalFunction:
         return _as_rf(other) / self
 
     def value_at(self, x: Scalar) -> tuple[int, int]:
-        """The value at x = p/q as an unreduced pair (num, den), den > 0.
-
-        Starts from the numerator's pair; a pole r = rp/rq contributes
-        x - r = (p*rq - rp*q) / (q*rq), so the pair gains (q*rq)**e above
-        and (p*rq - rp*q)**e below. Raises ``PoleError`` at a pole.
-        """
-        num, den = self.num.value_at(x)
-        p, q = x.numerator, x.denominator
-        for r, e in self.poles:
-            rq = r.denominator
-            gap = p * rq - r.numerator * q
-            if not gap:
-                raise PoleError(f"pole at n = {x}")
-            num *= (q * rq) ** e
-            den *= gap**e
-        return (num, den) if den > 0 else (-num, -den)
+        """The value at x = p/q as an unreduced pair (num, den), den > 0: the
+        numerator's pair times (q*rq)**e / (p*rq - rp*q)**e for each pole
+        r = rp/rq (``_value_pair``). Raises ``PoleError`` at a pole."""
+        num = self.num
+        return _value_pair(num.nums[::-1], num.den, self.poles, x.numerator, x.denominator)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x: ``value_at``'s pair, reduced once.

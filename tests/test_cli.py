@@ -774,6 +774,31 @@ class TestAuxiliaryCommands:
         reader.join(timeout=30)
         assert received == [printed.encode("utf-8")]
 
+    def test_broken_output_pipe_is_an_error(self, capsys, monkeypatch, tmp_path):
+        # a reader of --output that stops early loses the report: exit 2, as
+        # for any OSError, and stdout, here fd 1 itself, is left alone
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("named pipes are POSIX")
+        target = tmp_path / "out"
+        os.mkfifo(target)
+
+        def read_one_byte():
+            with open(target, "rb", buffering=0) as pipe:  # blocks until `main` opens the writer
+                pipe.read(1)
+
+        reader = threading.Thread(target=read_one_byte, daemon=True)
+        reader.start()
+        monkeypatch.setattr(sys, "stdout", open(1, "w", encoding="utf-8", closefd=False))
+        before = os.fstat(1)
+        # 71,880 bytes: more than a pipe's 64 KiB buffer holds
+        code = main(["table", "--format", "json", "--output", str(target)])
+        after = os.fstat(1)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
     @pytest.mark.parametrize(
         "script,argv,code",
         [

@@ -86,6 +86,19 @@ class TestPolynomialArithmetic:
     def test_evaluate(self, poly, x, expected):
         assert poly.evaluate(x) == expected
 
+    @pytest.mark.parametrize(
+        "x,pair",
+        [
+            (2, (1 + 2 * 2 + 3 * 4, 4)),
+            (-3, (1 - 2 * 3 + 3 * 9, 4)),
+            (Fraction(2, 3), (1 * 9 + 2 * 2 * 3 + 3 * 4, 4 * 9)),
+            (Fraction(-1, 2), (1 * 4 - 2 * 2 + 3 * 1, 4 * 4)),
+        ],
+    )
+    def test_value_at_is_the_documented_pair(self, x, pair):
+        # (sum nums[i] * p**i * q**(deg-i), den * q**deg) at p/q, unreduced
+        assert Polynomial([1, 2, 3], 4).value_at(x) == pair
+
 
 class TestRationalFunction:
     def test_evaluate_and_pole(self):
@@ -93,6 +106,23 @@ class TestRationalFunction:
         assert rf.evaluate(0) == 1
         with pytest.raises(PoleError):
             rf.evaluate(-1)
+
+    @pytest.mark.parametrize(
+        "x,pair",
+        [
+            (4, (9 * 2**3, 3**3)),
+            (1, (-3 * 2**3, 3**3)),
+            (Fraction(1, 3), (-5 * 6**3, 3 * 13**3)),
+        ],
+    )
+    def test_value_at_folds_each_pole_into_the_pair(self, x, pair):
+        # at p/q the pole r = rp/rq puts (q*rq)**e above and (p*rq - rp*q)**e
+        # below; at 1 and 1/3 that gap is negative, to an odd power, and the
+        # pair's signs are flipped so that den > 0
+        rf = RationalFunction(Polynomial([1, 2]), [(Fraction(5, 2), 3)])
+        assert rf.value_at(x) == pair
+        with pytest.raises(PoleError, match=r"^pole at n = 5/2$"):
+            rf.value_at(Fraction(5, 2))
 
     def test_expanded_denominator_is_not_a_pole_list(self):
         # the constructor takes poles; an expanded denominator enters by division

@@ -36,7 +36,7 @@ from harmonic_sums import (
     shift_basis,
     substitute_n,
 )
-from harmonic_sums.closed_form import _evaluate_pairs, _plan, _plan_value
+from harmonic_sums.closed_form import _evaluate_pairs
 from harmonic_sums.polynomial import ROOT_BOUND, linear_factors
 from harmonic_sums.render import factor_for_display
 
@@ -624,6 +624,8 @@ pole_functions = st.builds(
 @given(pole_functions, st.lists(points, min_size=1, max_size=4))
 # x - r = -5 to an odd power: the denominator's sign is normalised
 @example(RationalFunction(Polynomial([1]), [(Fraction(5), 1)]), [0, Fraction(1, 2)])
+# a negative gap to an odd power, at an integer and at a fraction
+@example(RationalFunction(Polynomial([1, 2]), [(Fraction(5, 2), 3)]), [1, Fraction(1, 3)])
 @example(RationalFunction(Polynomial([2, 3]), [(Fraction(-1, 3), 3), (Fraction(4), 2)]), [1, -2])
 # the boundaries of the fractional roots: +-6 and denominator 5
 @example(
@@ -645,6 +647,24 @@ def test_rational_value_at_matches_fraction_reference(rf, xs):
         assert type(num) is int and type(den) is int and den > 0, x
         assert Fraction(num, den) == want, x
         assert rf.evaluate(x) == want, x
+        # the documented pair: at x = p/q each pole r = rp/rq puts (q*rq)**e
+        # above the numerator's pair and (p*rq - rp*q)**e below
+        p, q = x.numerator, x.denominator
+        num, den = rf.num.value_at(x)
+        for r, e in rf.poles:
+            num *= (q * r.denominator) ** e
+            den *= (p * r.denominator - r.numerator * q) ** e
+        assert rf.value_at(x) == ((num, den) if den > 0 else (-num, -den)), x
+
+
+@MANY
+@given(polynomials, st.lists(points, min_size=1, max_size=4))
+def test_polynomial_value_at_is_the_documented_pair(poly, xs):
+    deg = max(poly.degree, 0)
+    for x in map(Fraction, xs):
+        p, q = x.numerator, x.denominator
+        num = sum(c * p**i * q ** (deg - i) for i, c in enumerate(poly.nums))
+        assert poly.value_at(x) == (num, poly.den * q**deg), x
 
 
 built_forms = st.builds(
@@ -749,5 +769,7 @@ def test_evaluate_pairs_match_fraction_reference(cf, lo, hi):
         assert Fraction(num, den) == reference_evaluate_cf(cf, n), n
         # each part's pair too: the running lcm would hide a negative den
         for rf in (cf.constant, *(c for _, c in cf.terms)):
-            assert _plan_value(_plan(rf), n) == rf.value_at(n), n
+            part_num, part_den = rf.value_at(n)
+            assert type(part_den) is int and part_den > 0, n
+            assert Fraction(part_num, part_den) == reference_rf_value(rf, n), n
     assert next(pairs, None) is None

@@ -5,16 +5,20 @@
 Draws argv for every command from small ranges, and malformed argv: values
 out of bounds or not integers, unknown flags, a missing required flag,
 flag combinations that `check` refuses, and `--output` paths: inside a
-temporary directory (a new file, an existing one, and paths that cannot be
-opened), the empty path, a path with a NUL byte, and the null device. Each
-run's output is captured and dropped; no process is started.
+temporary directory (a new file, an existing one, paths that cannot be
+opened, and on POSIX a named pipe whose reader thread reads at most one byte
+and closes), the empty path, a path with a NUL byte, and the null device.
+Each run's output is captured and dropped; no process is started.
 
 Prints a JSON summary: the runs per command and exit code, the slowest run,
 and every problem. A problem is an exit code other than 0 or 2 (a 1 means
 an identity failed its check), an exception other than `SystemExit`, a run
-over 5 s, or an `--output` file that breaks the promise of the README: after
-exit 0 or 1 it must hold the output, and after exit 2 a new file must be
-gone and an existing one unchanged. Exits 1 if there is any problem, else 0.
+over 5 s, a run after which fd 1 is no longer the file it was, or an
+`--output` that breaks the promise of the README: after exit 0 or 1 a file
+must hold the output, after exit 2 a new file must be gone and an existing
+one unchanged, and the named pipe's early reader must end in exit 2 whenever
+the output is more than its buffer and that one byte could take. Exits 1 if
+there is any problem, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import os
 import random
 import sys
 import tempfile
+import threading
 import time
 import traceback
 from collections import Counter
@@ -39,6 +44,8 @@ from harmonic_sums import cli  # noqa: E402
 RUN_BUDGET_S = 5.0
 COMMANDS = ("identity", "table", "verify", "check", "bernoulli", "faulhaber")
 INTEGER_FLAGS = ("--p", "--m", "--w", "--offset-a", "--offset-b", "--n-max")
+# what a pipe's buffer (16 pages on Linux) and a reader of one byte can take
+PIPE_BYTES = 65536 + 1
 # values just past the bounds of some integer flags (and small enough to be
 # quick where another flag accepts them), past every bound, or not integers
 MALFORMED = ("-1", "-11", "11", "41", "81", "-1001", "10001", "x", "1.5", "", "1e3")
@@ -89,8 +96,10 @@ def draw_argv(rng: random.Random, tmp: str) -> list[str]:
 
 def _outputs(tmp: str) -> tuple[str, ...]:
     """Output paths: in the temporary directory a new file, an existing one,
-    one under a missing directory, one under a file, and the directory itself;
-    and outside it the empty path, a path with a NUL byte and the null device."""
+    one under a missing directory, one under a file, the directory itself,
+    and the named pipe if there is one; and outside it the empty path, a path
+    with a NUL byte and the null device."""
+    fifo = os.path.join(tmp, "fifo")
     return (
         os.path.join(tmp, "out"),
         os.path.join(tmp, "existing"),
@@ -101,7 +110,7 @@ def _outputs(tmp: str) -> tuple[str, ...]:
         "",
         os.path.join(tmp, "nul\0out"),
         os.devnull,
-    )
+    ) + ((fifo,) if os.path.exists(fifo) else ())
 
 
 def _read(path: str) -> bytes | None:
@@ -122,6 +131,35 @@ def _output_problem(path: str, code: int | str, before: bytes | None) -> str | N
     if code == 2 and after != before:
         return "exit 2 left a new --output file" if before is None else "exit 2 changed --output"
     return None
+
+
+def _early_reader(fifo: str) -> threading.Thread:
+    """A thread that opens the named pipe, reads at most one byte and closes it."""
+
+    def read_one_byte() -> None:
+        with open(fifo, "rb", buffering=0) as pipe:  # blocks until a writer opens
+            pipe.read(1)
+
+    reader = threading.Thread(target=read_one_byte, daemon=True)
+    reader.start()
+    return reader
+
+
+def _release(fifo: str, reader: threading.Thread) -> None:
+    """Wait for the reader; if the run never opened the pipe, open and close
+    it once as a writer, so that the reader's open returns and it reads EOF."""
+    while reader.is_alive():
+        with contextlib.suppress(OSError):  # ENXIO: the reader is not waiting in open
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(0.01)
+
+
+def _output_bytes(argv: list[str], path: str) -> int:
+    """The size of the output of argv, run again with a new file at path as
+    its last --output."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main([*argv, "--output", path])
+    return os.path.getsize(path)
 
 
 def _spoil(rng: random.Random, argv: list[str]) -> None:
@@ -165,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[dict] = []
     slowest = (0.0, [])
     with tempfile.TemporaryDirectory() as tmp:
+        fifo = os.path.join(tmp, "fifo")
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(fifo)
         deadline = time.perf_counter() + args.seconds
         while time.perf_counter() < deadline:
             run_argv = draw_argv(rng, tmp)
@@ -173,15 +214,29 @@ def main(argv: list[str] | None = None) -> int:
             # the last --output's path, unless no command runs to open it (`--help`)
             outputs = [a for i, a in enumerate(run_argv[1:]) if run_argv[i] == "--output"]
             path = outputs[-1] if outputs and run_argv[0] in COMMANDS else None
-            before = None if path is None else _read(path)
+            reader = _early_reader(fifo) if path == fifo else None
+            before = None if path is None or reader else _read(path)
+            stdout = os.fstat(1)
             code, seconds, error = run_one(run_argv)
+            stdout_after = os.fstat(1)
+            if reader:
+                _release(fifo, reader)
             counts[f"{run_argv[0] or '(empty)'} {code}"] += 1
             slowest = max(slowest, (seconds, run_argv))
-            if error or code not in (0, 2):
-                problems.append({"argv": run_argv, "problem": error or f"exit {code}"})
+            problem = None
+            if (stdout_after.st_dev, stdout_after.st_ino) != (stdout.st_dev, stdout.st_ino):
+                problem = "fd 1 no longer points at the file it did before the run"
+            elif error or code not in (0, 2):
+                problem = error or f"exit {code}"
             elif seconds > RUN_BUDGET_S:
-                problems.append({"argv": run_argv, "problem": f"took {seconds:.2f} s"})
-            elif path is not None and (problem := _output_problem(path, code, before)):
+                problem = f"took {seconds:.2f} s"
+            elif reader:
+                size = 0 if code == 2 else _output_bytes(run_argv, os.path.join(tmp, "out"))
+                if size > PIPE_BYTES:
+                    problem = f"exit {code} although the pipe's reader took one byte of {size}"
+            elif path is not None:
+                problem = _output_problem(path, code, before)
+            if problem:
                 problems.append({"argv": run_argv, "problem": problem})
     summary = {
         "seed": args.seed,
