@@ -110,7 +110,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and args.output is None:
             # stdout's reader stopped early (`| head`): not a usage error
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no flush error at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())  # no flush error at exit
+            finally:
+                os.close(devnull)
             return code
         print(f"error: {exc}", file=sys.stderr)
         if created:  # a refused command leaves no file behind

@@ -8,13 +8,14 @@ The constructors produce canonical closed forms for
     offset_sum_g: sum_{k=0}^n k**p * H_{s+n-k}^(m)
 
 by one summation by parts over j = s..N, N = s+n. The weight's antidifference
-P(x) = sum_{k=0}^x k**p moves onto j as Q(j) = P(j-s-1) (F) or P(n) - P(N-j)
-(G); Q(s) = 0 and Q(N+1) = P(n) in both, so taking the boundary term
-at N+1 the sum is P(n) H_{N+1}^(m) - sum_t q_t (H_{N+1}^(m-t) - H_s^(m-t))
-for Q(j) = sum_t q_t j**t. That already lies on ``offset_basis(s)`` (H_{n+1}
-for the plain sums, s = 0), so no basis shift follows. An order m-t <= 0 sums
-the powers j**(t-m) over s < j <= N+1, a difference of power-sum polynomials.
-``offset_harmonic`` sums H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m): minus P(n) H_s^(m).
+P(x) = sum_{k=0}^x k**p moves onto j as Q(j) = sigma R(j + lambda n), R(x) =
+P(sigma x + c): (sigma, c, lambda) = (1, -b-1, -a) gives F's P(j-s-1) and
+(-1, b, -a-1) G's -P(N-j). Q(N+1) - Q(s) = P(n) and Q is zero at one end, so the
+boundary term sits at the other, e = N+1 (F) or s (G), and the sum is
+P(n) H_e^(m) - sum_t q_t (H_{N+1}^(m-t) - H_s^(m-t)) for Q(j) = sum_t q_t j**t,
+on ``offset_basis(s)`` (H_{n+1} for the plain sums, s = 0): no basis shift follows.
+An order m-t <= 0 sums j**(t-m) over s < j <= N+1, a difference of power-sum
+polynomials. ``offset_harmonic`` sums H_{s+k}^(m) - H_s^(m): minus P(n) H_s^(m).
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ def _power_sum(p: int) -> Polynomial:
     return faulhaber_poly(p) + int_pow(0, p)
 
 
-def _taylor(poly: Polynomial) -> list[Polynomial]:
-    """The D_t with poly(x + y) = sum_t D_t(y) x**t, D_t(y) = sum_u C(t+u, t) c_{t+u} y**u."""
-    nums = poly.nums
+def _taylor(poly: Polynomial, slope: int, sign: int) -> list[Polynomial]:
+    """sign * poly(x + slope*n) = sum_t q_t x**t: q_t = sign sum_u C(t+u, t) c_{t+u} (slope n)**u."""
+    nums, k = poly.nums, len(poly.nums)
+    powers = [sign * int_pow(slope, u) for u in range(k)]  # 0**0 = 1 at slope 0
     return [
-        Polynomial([binomial(t + u, t) * nums[t + u] for u in range(len(nums) - t)], poly.den)
-        for t in range(len(nums))
+        Polynomial([binomial(t + u, t) * nums[t + u] * powers[u] for u in range(k - t)], poly.den)
+        for t in range(k)
     ]
 
 
@@ -91,26 +93,22 @@ def _by_parts(
     antidiff: Polynomial, m: int, s: LinearArg, offset_harmonic: bool = False, reverse: bool = False
 ) -> ClosedForm:
     """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, where the weight's antidifference
-    P = ``antidiff`` gives Q(j) = P(j-s-1), or P(n) - P(N-j) with ``reverse``. For
-    Q(j) = sum_t q[t] j**t that is P(n) H_{N+1}^(m) - sum_t q[t] (H_{N+1}^(m-t) -
-    H_s^(m-t)) on ``offset_basis(s)``, and minus P(n) H_s^(m) with ``offset_harmonic``.
-    Where both ends fold to power-sum polynomials (order m-t <= 0) their difference
-    takes one product. The parts are merged as polynomials and the ``ClosedForm``
-    is built once."""
+    P = ``antidiff`` gives Q(j) = sigma P(c + sigma (j + lambda n)): P(j-s-1), or -P(N-j)
+    with ``reverse``, which only picks the row (sigma, c, lambda, e). For Q(j) = sum_t
+    q[t] j**t that is P(n) H_e^(m) - sum_t q[t] (H_{N+1}^(m-t) - H_s^(m-t)) on
+    ``offset_basis(s)``, and minus P(n) H_s^(m) with ``offset_harmonic``. The q[t] come
+    from one ``compose_linear`` of P and one Taylor shift. Where both ends fold to
+    power-sum polynomials (order m-t <= 0) their difference takes one product. The
+    parts are merged as polynomials and the ``ClosedForm`` is built once."""
     if s.b < 0:  # s must be a nonnegative integer for every n >= 0
         raise ValueError(f"offset {s} is negative at n = 0")
-    taylor = _taylor(antidiff)
-    if reverse:  # P(n) - P(N - j) = P(n) - sum_t D_t(N) (-j)**t
-        q = [d.compose_linear(s.a + 1, s.b) * (-1) ** (t + 1) for t, d in enumerate(taylor)]
-        q[0] += antidiff
-    else:
-        q = [d.compose_linear(-s.a, -s.b - 1) for d in taylor]  # P(j - s - 1)
     top = LinearArg(s.a + 1, s.b + 1)
-    parts = [(antidiff, harmonic_part(top, m))]
+    sigma, c, slope, end = (-1, s.b, -s.a - 1, s) if reverse else (1, -s.b - 1, -s.a, top)
+    parts = [(antidiff, harmonic_part(end, m))]  # Q is zero at the other end
     if offset_harmonic:
         parts.append((-antidiff, harmonic_part(s, m)))
     constant, terms = Polynomial(), {}
-    for t, q_t in enumerate(q):
+    for t, q_t in enumerate(_taylor(antidiff.compose_linear(sigma, c), slope, sigma)):
         upper, lower = harmonic_part(top, m - t), harmonic_part(s, m - t)
         if isinstance(upper, Polynomial):  # order <= 0, so lower is a polynomial too
             constant += q_t * (lower - upper)

@@ -197,8 +197,8 @@ def grid_rows(
     row, and the powers 0**p..n_max**p are computed once for the sweep. The
     offset s = a*n+b moves with n, so every row sums afresh. Each side
     arrives as an unreduced pair: the direct sum's (ln, ld), and the closed
-    form's (rn, rd) from one ``_evaluate_pairs`` sweep over 0..n_max, which
-    plans the form once. The row compares ln * rd with rn * ld over ld * rd.
+    form's (rn, rd) from one ``_evaluate_pairs`` sweep over 0..n_max. The row
+    compares ln * rd with rn * ld over ld * rd.
     """
     family = _checked_family(family, p, s, 0)  # s(n) only grows with n
     powers = [int_pow(k, p) for k in range(n_max + 1)]

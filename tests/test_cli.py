@@ -824,6 +824,32 @@ class TestAuxiliaryCommands:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (code, "")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_reader_gone_leaves_no_descriptor_open(self):
+        # an in-process caller whose stdout reader is gone: pointing fd 1 at
+        # the null device must not keep the descriptor that opened it
+        script = (
+            "import json, os, sys; from harmonic_sums import cli\n"
+            "fds, codes = [len(os.listdir('/proc/self/fd'))], []\n"
+            "for _ in range(3):\n"
+            "    codes.append(cli.main(['table', '--format', 'json']))\n"
+            "    fds.append(len(os.listdir('/proc/self/fd')))\n"
+            "print(json.dumps([codes, fds]), file=sys.stderr)\n"
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+            )  # fmt: skip
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0, result.stderr
+        codes, fds = json.loads(result.stderr)
+        assert codes == [0, 0, 0]
+        assert fds == [fds[0]] * 4
+
     def test_module_invocation(self):
         import subprocess
         import sys

@@ -184,6 +184,23 @@ def test_render_sweep_digest():
     )
 
 
+def test_offset_harmonic_sweep_digest():
+    # text and JSON of 1,134 offset_harmonic forms, each render followed by a
+    # NUL: the H_s^(m) correction meets G's boundary term at s
+    digest = hashlib.sha256()
+    for family in (offset_sum_f, offset_sum_g):
+        for p in range(7):
+            for m in range(-3, 6):
+                for a in range(3):
+                    for b in range(3):
+                        cf = family(p, m, LinearArg(a, b), offset_harmonic=True)
+                        for fmt in ("text", "json"):
+                            digest.update(render(cf, fmt).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "df296ec4d60813cb68fc738420278eaea6a35589990d2c3b35519be8d2da2a51"
+    )
+
+
 def test_render_pole_and_label_digest():
     # text, LaTeX and JSON of 541 forms with negative offsets and poles: 270
     # builds at n-1, each also with every symbol shifted up one step, and
