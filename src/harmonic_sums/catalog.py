@@ -3,8 +3,8 @@
 Covers the power-sum polynomials up to p = 5, the plain weighted sums up
 to (p, m) = (5, 4) for the forward family and (5, 3) for the reversed
 family, and the offset families for s = n (orders 1 and 2 forward, order
-1 reversed) and s = 2n (order 1 forward). Everything is computed by the
-constructors; nothing here is hard-coded.
+1 reversed) and s = 2n (order 1 forward). Everything is computed by
+``faulhaber_poly`` and ``build_closed_form``; nothing here is hard-coded.
 """
 
 from __future__ import annotations
@@ -12,13 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closed_form import ClosedForm, LinearArg, _harmonic_label, _power
-from .identities import offset_sum_f, offset_sum_g, sum_f, sum_g
+from .identities import build_closed_form
 from .polynomial import faulhaber_poly
 from .render import _power_sum_label
 
 __all__ = ["CatalogEntry", "catalog_entries"]
 
 _ZERO_OFFSET = LinearArg(0, 0)
+
+# (kind, offset, highest order) in catalogue order: m = 1..top, then p = 0..5
+_ROWS = (
+    ("power_sum", _ZERO_OFFSET, 0),
+    ("f", _ZERO_OFFSET, 4),
+    ("g", _ZERO_OFFSET, 3),
+    ("f", LinearArg(1, 0), 2),
+    ("f", LinearArg(2, 0), 1),
+    ("g", LinearArg(1, 0), 1),
+)
 
 
 @dataclass(frozen=True)
@@ -51,20 +61,9 @@ def _summand_arg(kind: str, offset: LinearArg) -> str:
 
 def catalog_entries() -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
-    for p in range(6):
-        poly_form = ClosedForm(faulhaber_poly(p))
-        entries.append(CatalogEntry("power_sum", p, None, _ZERO_OFFSET, poly_form))
-    for m in range(1, 5):
-        for p in range(6):
-            entries.append(CatalogEntry("f", p, m, _ZERO_OFFSET, sum_f(p, m)))
-    for m in range(1, 4):
-        for p in range(6):
-            entries.append(CatalogEntry("g", p, m, _ZERO_OFFSET, sum_g(p, m)))
-    for s, top_order in ((LinearArg(1, 0), 2), (LinearArg(2, 0), 1)):
-        for m in range(1, top_order + 1):
+    for kind, offset, top in _ROWS:
+        for m in range(1, top + 1) or (None,):
             for p in range(6):
-                entries.append(CatalogEntry("f", p, m, s, offset_sum_f(p, m, s)))
-    s = LinearArg(1, 0)
-    for p in range(6):
-        entries.append(CatalogEntry("g", p, 1, s, offset_sum_g(p, 1, s)))
+                cf = build_closed_form(kind, p, m, offset) if m else ClosedForm(faulhaber_poly(p))
+                entries.append(CatalogEntry(kind, p, m, offset, cf))
     return entries

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import known_identities as known
+from harmonic_sums.identities import _by_parts
 from harmonic_sums.polynomial import ROOT_BOUND
 from harmonic_sums import (
     ClosedForm,
@@ -105,6 +106,14 @@ class TestOffsetSums:
     def test_zero_offset_degenerates_to_plain_sum(self, p, m):
         assert offset_sum_f(p, m, S0) == sum_f(p, m)
         assert offset_sum_g(p, m, S0) == sum_g(p, m)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("offset_harmonic", [False, True])
+    @pytest.mark.parametrize("m,s", [(1, S0), (3, LinearArg(1, 2)), (0, LinearArg(2, 0)),
+                                     (-2, LinearArg(0, 3)), (2, LinearArg(0, 1))])  # fmt: skip
+    def test_zero_antidifference_is_the_zero_form(self, m, s, offset_harmonic, reverse):
+        """A zero weight has the zero antidifference, and both rows build nothing from it."""
+        assert _by_parts(Polynomial(), m, s, offset_harmonic, reverse) == ClosedForm()
 
     def test_p0_families_coincide_at_equal_offset(self):
         s = LinearArg(1, 0)

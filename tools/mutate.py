@@ -8,19 +8,23 @@ exactly once in its file and differ from its replacement: a snippet that no
 longer matches (gone, or found more than once) is an error, reported with
 exit 2, never a pass.
 
-Each mutant then runs on its own temporary copy of the repository (without
-`.git` and caches): the snippet is replaced there and tier-1 runs in the copy,
+Each run takes a temporary copy of the repository (without `.git` and
+caches), so the working tree is never touched, and runs tier-1 in it up to
+its first failing test:
 
-    PYTHONPATH=<copy>/src python -m pytest -q --continue-on-collection-errors
+    PYTHONPATH=<copy>/src python -m pytest -q -x --continue-on-collection-errors
 
-so the working tree is never touched. At most 2 copies run at a time, after
-an unmutated one: a kill means something only when the tree itself passes.
+An unmutated copy runs first and alone: a kill means something only when the
+tree itself passes, so a failing unmutated copy ends the run with exit 1
+before any mutant runs. Then each mutant replaces its snippet in its own
+copy, at most 2 copies at a time.
 
 Prints one line per run on stderr as the run ends, then a JSON report on
-stdout in catalogue order: per mutant, killed or survived, the first failing
-test and every failing test. A run past 15 minutes counts as killed, and
-says so. Exits 0 when every mutant is killed and the unmutated copy passes,
-1 otherwise, 2 on a stale snippet or a usage error.
+stdout: the unmutated run, then per mutant in catalogue order, killed or
+survived, the first failing test, pytest's summary line and the seconds. A
+run past 15 minutes counts as killed, and says so. Exits 0 when every mutant
+is killed, 1 when one survives or the unmutated copy fails, 2 on a stale
+snippet or a usage error.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE", "-p", "no:cacheprovider")
+TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-rfE",
+         "-p", "no:cacheprovider")  # fmt: skip
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
 WORKERS = 2
 TIMEOUT_S = 900
@@ -55,6 +60,10 @@ class Mutant:
 
 _IDENTITIES = "src/harmonic_sums/identities.py"
 _POLYNOMIAL = "src/harmonic_sums/polynomial.py"
+_ORACLE = "src/harmonic_sums/oracle.py"
+_RENDER = "src/harmonic_sums/render.py"
+_CLOSED_FORM = "src/harmonic_sums/closed_form.py"
+_CLI = "src/harmonic_sums/cli.py"
 _ROW = "sigma, c, slope, end = (-1, s.b, -s.a - 1, s) if reverse else (1, -s.b - 1, -s.a, top)"
 
 CATALOGUE = (
@@ -107,11 +116,71 @@ CATALOGUE = (
     Mutant("value-pair-integer-branch-always", _POLYNOMIAL,
            "    if q == 1:\n        for c in nums:", "    if True:\n        for c in nums:",
            "plain Horner at a fractional point reads p/q as p"),
+    # identities._power_sum and exact.BernoulliCache: the power sums' two sources
+    Mutant("power-sum-k0-term-dropped", _IDENTITIES,
+           "return faulhaber_poly(p) + int_pow(0, p)", "return faulhaber_poly(p)",
+           "P(x) without its k = 0 term, 0**0 = 1 at p = 0"),
+    Mutant("bernoulli-sign-flipped", "src/harmonic_sums/exact.py",
+           "signed_tangent = self._row[-1] if j % 2 else -self._row[-1]",
+           "signed_tangent = -self._row[-1] if j % 2 else self._row[-1]",
+           "every even Bernoulli number from B_2 on with the wrong sign"),
+    # oracle: the direct sums and the check rows, which share no code with the constructors
+    Mutant("oracle-g-weights-not-reversed", _ORACLE,
+           'weights = powers if family == "F" else powers[n::-1]',
+           'weights = powers if family == "F" else powers',
+           "the direct sum of G weighs H_{base+k} by k**p instead of (n-k)**p"),
+    Mutant("oracle-w0-dropped", _ORACLE,
+           "total += (suffix + weights[0]) * h", "total += suffix * h",
+           "W H_base without the weight w_0"),
+    Mutant("oracle-h-base-scale-dropped", _ORACLE,
+           "        h *= (l // l_base) ** m\n", "",
+           "H_base read over lcm(1..base)**m, not the common D = l**m"),
+    Mutant("grid-rows-rhs-over-rd", _ORACLE,
+           "yield CheckRow(n, ln * rd, rn * ld, ld * rd)",
+           "yield CheckRow(n, ln * rd, rn * rd, ld * rd)",
+           "the closed form's numerator scaled by its own denominator"),
+    Mutant("sbp-up-at-n", _ORACLE,
+           "up = _times_power(h, n + 1, w)", "up = _times_power(h, n, w)",
+           "(n+1)**w H_n^(m) taken as n**w H_n^(m)"),
+    Mutant("corollary-sign-flipped", _ORACLE,
+           "sign = 1 if start else -1", "sign = -1 if start else 1",
+           "H_t**2 + H_t^(2) and H_t**2 - H_t^(2) exchanged between the corollaries"),
+    # polynomial.linear_factors: the root search
+    Mutant("linear-factors-multiplicity-one", _POLYNOMIAL,
+           "while (quot := poly.divide_linear(root)) is not None:",
+           "if (quot := poly.divide_linear(root)) is not None:",
+           "a repeated zero divided out once"),
+    Mutant("linear-factors-p1-filter-sign", _POLYNOMIAL,
+           "_divides(q - num, at_one)", "_divides(q + num, at_one)",
+           "Gauss's P(1) filter tests q + p, dropping true roots"),
+    # render: the display factoring
+    Mutant("display-content-sign-dropped", _RENDER,
+           "g = gcd(*rest.nums) if rest.nums[-1] > 0 else -gcd(*rest.nums)",
+           "g = gcd(*rest.nums)",
+           "a cofactor with a negative leading coefficient prints with the wrong sign"),
+    Mutant("pole-factors-multiplicity-dropped", _RENDER,
+           "den *= r.denominator**e", "den *= r.denominator",
+           "the content of (q n - p)**e divides by q once"),
+    # closed_form: the evaluation sweep
+    Mutant("prefix-scale-power-dropped", _CLOSED_FORM,
+           "scale = int_pow(step, order)", "scale = step",
+           "H^(order)'s numerator scaled by step, not step**order, where the lcm grows"),
+    Mutant("sweep-rescale-dropped", _CLOSED_FORM,
+           "                total *= grown // common\n", "",
+           "the running sum not rescaled when its common denominator grows"),
+    # cli: the exit codes and the --output file
+    Mutant("output-removal-dropped", _CLI,
+           "os.remove(args.output)", "pass",
+           "a refused command leaves the --output file it created"),
+    Mutant("verdict-always-zero", _CLI,
+           "code = 0 if all_ok else 1", "code = 0",
+           "a failing verify or check exits 0"),
 )
 
 
 def stale(root: Path, mutants: list[Mutant]) -> list[str]:
-    """One message per mutant whose snippet is not found exactly once in its file."""
+    """One message per mutant whose snippet is not found exactly once in its file,
+    or whose replacement equals its snippet."""
     problems = []
     for mutant in mutants:
         path = root / mutant.file
@@ -124,17 +193,17 @@ def stale(root: Path, mutants: list[Mutant]) -> list[str]:
     return problems
 
 
-def _failures(output: str) -> list[str]:
-    """The test ids of pytest's short summary, in the order it lists them."""
-    failed = []
+def _first_failure(output: str) -> str | None:
+    """The first test id of pytest's short summary, if any."""
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            failed.append(line.split(" ", 1)[1].split(" - ", 1)[0])
-    return failed
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return None
 
 
-def run_tier1(mutant: Mutant | None) -> dict:
-    """Tier-1 on a temporary copy of the repository, with ``mutant`` applied if given."""
+def run_tier1(mutant: Mutant | None) -> tuple[bool, dict]:
+    """Tier-1 up to its first failing test, on a temporary copy of the repository
+    with ``mutant`` applied if given: whether it failed, and the run's record."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
@@ -149,24 +218,17 @@ def run_tier1(mutant: Mutant | None) -> dict:
                 [sys.executable, *TIER1], cwd=copy, env=env, timeout=TIMEOUT_S,
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             )  # fmt: skip
-            code, output, timed_out = done.returncode, done.stdout, False
+            failed, output = done.returncode != 0, done.stdout
+            summary = output.strip().splitlines()[-1] if output.strip() else ""
         except subprocess.TimeoutExpired as exc:
             out = exc.stdout or ""
-            code, output, timed_out = None, out if isinstance(out, str) else out.decode(), True
-    failures = _failures(output)
-    result = {
-        "exit": code,
-        "timed_out": timed_out,
+            failed, output = True, out if isinstance(out, str) else out.decode()
+            summary = f"timed out after {TIMEOUT_S} s"
+    return failed, {
+        "first_failure": _first_failure(output),
+        "summary": summary,
         "seconds": round(time.perf_counter() - start, 1),
-        "summary": output.strip().splitlines()[-1] if output.strip() else "",
-        "first_failure": failures[0] if failures else None,
-        "failures": failures,
     }
-    if mutant is not None:
-        killed = timed_out or code != 0
-        result = {"name": mutant.name, "file": mutant.file, "breaks": mutant.breaks,
-                  "status": "killed" if killed else "survived", **result}  # fmt: skip
-    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,26 +239,29 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 2
 
-    jobs: list[Mutant | None] = [None, *CATALOGUE]
+    failed, baseline = run_tier1(None)
+    print(f"unmutated ({baseline['summary']}, {baseline['seconds']} s)", file=sys.stderr, flush=True)
+    report: dict = {"command": ["python", *TIER1], "unmutated": baseline}
+    if failed:
+        print("error: the unmutated copy fails, so no mutant was run", file=sys.stderr)
+        print(json.dumps(report, indent=2))
+        return 1
+
+    results: list[dict] = [{}] * len(CATALOGUE)
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        futures = {pool.submit(run_tier1, job): i for i, job in enumerate(jobs)}
-        results: list[dict] = [{}] * len(jobs)
+        futures = {pool.submit(run_tier1, mutant): i for i, mutant in enumerate(CATALOGUE)}
         for future in as_completed(futures):
             i = futures[future]
-            results[i] = result = future.result()
-            label = "unmutated" if jobs[i] is None else f"{result['name']}: {result['status']}"
-            print(f"{label} ({result['summary']}, {result['seconds']} s)", file=sys.stderr, flush=True)
-    baseline = results.pop(0)
+            killed, run = future.result()
+            mutant, status = CATALOGUE[i], "killed" if killed else "survived"
+            results[i] = {"name": mutant.name, "file": mutant.file, "breaks": mutant.breaks,
+                          "status": status, **run}  # fmt: skip
+            print(f"{mutant.name}: {status} ({run['summary']}, {run['seconds']} s)",
+                  file=sys.stderr, flush=True)  # fmt: skip
     survived = [r["name"] for r in results if r["status"] == "survived"]
-    report = {
-        "command": ["python", *TIER1],
-        "unmutated": baseline,
-        "mutants": results,
-        "killed": len(results) - len(survived),
-        "survived": survived,
-    }
+    report.update(mutants=results, killed=len(results) - len(survived), survived=survived)
     print(json.dumps(report, indent=2))
-    return 1 if survived or baseline["exit"] != 0 else 0
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":
