@@ -12,7 +12,9 @@ from fractions import Fraction
 from harmonic_sums import (
     LinearArg,
     evaluate_cf,
+    faulhaber_poly,
     harmonic_direct,
+    harmonic_term,
     int_pow,
     lhs_direct,
     offset_sum_f,
@@ -54,7 +56,7 @@ print()
 print("The H_{s,k} variant (terms counted from position s) differs by an")
 print("explicit H_s^(m)-weighted correction:")
 s = LinearArg(1, 0)
-variant = offset_sum_f(2, 2, s, offset_harmonic=True)
+variant = offset_sum_f(2, 2, s) - harmonic_term(s, 2).scale(faulhaber_poly(2) + int_pow(0, 2))
 print(f"  sum k^2 H_(n,k)^(2) = {render(variant)}")
 for n in range(10):
     literal = sum(

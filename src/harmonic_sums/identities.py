@@ -15,7 +15,8 @@ boundary term sits at the other, e = N+1 (F) or s (G), and the sum is
 P(n) H_e^(m) - sum_t q_t (H_{N+1}^(m-t) - H_s^(m-t)) for Q(j) = sum_t q_t j**t,
 on ``offset_basis(s)`` (H_{n+1} for the plain sums, s = 0): no basis shift follows.
 An order m-t <= 0 sums j**(t-m) over s < j <= N+1, a difference of power-sum
-polynomials. ``offset_harmonic`` sums H_{s+k}^(m) - H_s^(m): minus P(n) H_s^(m).
+polynomials. The H_{s,k}^(m) = H_{s+k}^(m) - H_s^(m) variant is the offset sum
+minus ``harmonic_term(s, m).scale(P(n))``.
 """
 
 from __future__ import annotations
@@ -71,42 +72,30 @@ def _taylor(poly: Polynomial, slope: int, sign: int) -> list[Polynomial]:
     ]
 
 
-def offset_sum_f(
-    p: int, m: int, s: LinearArg, offset_harmonic: bool = False
-) -> ClosedForm:
-    """Closed form of sum_{k=0}^n k**p H_{s+k}^(m) for the offset s = a*n+b.
-
-    With ``offset_harmonic=True`` the summand is H_{s,k}^(m) instead,
-    i.e. the H_s^(m) * sum_{k=0}^n k**p correction is subtracted.
-    """
-    return _by_parts(_power_sum(p), m, s, offset_harmonic)
+def offset_sum_f(p: int, m: int, s: LinearArg) -> ClosedForm:
+    """Closed form of sum_{k=0}^n k**p H_{s+k}^(m) for the offset s = a*n+b."""
+    return _by_parts(_power_sum(p), m, s)
 
 
-def offset_sum_g(
-    p: int, m: int, s: LinearArg, offset_harmonic: bool = False
-) -> ClosedForm:
+def offset_sum_g(p: int, m: int, s: LinearArg) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_{s+n-k}^(m) for the offset s = a*n+b."""
-    return _by_parts(_power_sum(p), m, s, offset_harmonic, reverse=True)
+    return _by_parts(_power_sum(p), m, s, reverse=True)
 
 
-def _by_parts(
-    antidiff: Polynomial, m: int, s: LinearArg, offset_harmonic: bool = False, reverse: bool = False
-) -> ClosedForm:
+def _by_parts(antidiff: Polynomial, m: int, s: LinearArg, reverse: bool = False) -> ClosedForm:
     """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, where the weight's antidifference
     P = ``antidiff`` gives Q(j) = sigma P(c + sigma (j + lambda n)): P(j-s-1), or -P(N-j)
     with ``reverse``, which only picks the row (sigma, c, lambda, e). For Q(j) = sum_t
     q[t] j**t that is P(n) H_e^(m) - sum_t q[t] (H_{N+1}^(m-t) - H_s^(m-t)) on
-    ``offset_basis(s)``, and minus P(n) H_s^(m) with ``offset_harmonic``. The q[t] come
-    from one ``compose_linear`` of P and one Taylor shift. Where both ends fold to
-    power-sum polynomials (order m-t <= 0) their difference takes one product. The
-    parts are merged as polynomials and the ``ClosedForm`` is built once."""
+    ``offset_basis(s)``. The q[t] come from one ``compose_linear`` of P and one Taylor
+    shift. Where both ends fold to power-sum polynomials (order m-t <= 0) their
+    difference takes one product. The parts are merged as polynomials and the
+    ``ClosedForm`` is built once."""
     if s.b < 0:  # s must be a nonnegative integer for every n >= 0
         raise ValueError(f"offset {s} is negative at n = 0")
     top = LinearArg(s.a + 1, s.b + 1)
     sigma, c, slope, end = (-1, s.b, -s.a - 1, s) if reverse else (1, -s.b - 1, -s.a, top)
     parts = [(antidiff, harmonic_part(end, m))]  # Q is zero at the other end
-    if offset_harmonic:
-        parts.append((-antidiff, harmonic_part(s, m)))
     constant, terms = Polynomial(), {}
     for t, q_t in enumerate(_taylor(antidiff.compose_linear(sigma, c), slope, sigma)):
         upper, lower = harmonic_part(top, m - t), harmonic_part(s, m - t)

@@ -88,6 +88,36 @@ class TestArithmetic:
         cf = sum_f(3, 2)
         assert ClosedForm(cf.constant, cf.terms) == cf
 
+    def test_hash_follows_structural_equality(self):
+        cf = sum_f(3, 2)
+        rebuilt = ClosedForm(cf.constant, dict(cf.terms))
+        assert hash(rebuilt) == hash(cf)
+        assert len({cf, rebuilt, sum_f(3, 1)}) == 2
+
+    def test_absent_symbol_has_zero_coefficient(self):
+        h = harmonic_term(ARG_N1, 1)
+        assert h.coefficient(HarmonicSymbol(ARG_N1, 1)) == 1
+        absent = h.coefficient(HarmonicSymbol(ARG_N, 1))
+        assert isinstance(absent, RationalFunction)
+        assert absent == 0
+
+    def test_foreign_operand_is_not_implemented(self):
+        h = harmonic_term(ARG_N1, 1)
+        assert h.__eq__(1) is NotImplemented
+        assert h.__add__(1) is NotImplemented
+        assert h.__sub__(1) is NotImplemented
+        assert (h == 1) is False
+        with pytest.raises(TypeError):
+            h + 1
+        with pytest.raises(TypeError):
+            h - 1
+
+    def test_str_is_the_text_render(self):
+        assert str(HarmonicSymbol(LinearArg(2, 1), 3)) == "H_{2n+1}^(3)"
+        assert str(sum_f(1, 1)) == "H_n^(-1) H_{n+1} - 1/4 n(n+1)"
+        # a negative constant's sign becomes the separator: 3 - n is shown as - (n-3)
+        assert str(ClosedForm(3 - N, {HarmonicSymbol(ARG_N1, 1): N})) == "n H_{n+1} - (n-3)"
+
 
 class TestSubstitution:
     def test_symbol_argument_remapped(self):

@@ -38,6 +38,14 @@ from harmonic_sums import (
 )
 
 S0 = LinearArg(0, 0)
+
+
+def h_sk_variant(builder, p: int, m: int, s: LinearArg) -> ClosedForm:
+    """sum_{k=0}^n k**p H_{s,k}^(m), H_{s,k} = H_{s+k} - H_s (H_{s,n-k} for G): the
+    offset sum minus P(n) H_s^(m), P(x) = sum_{k=0}^x k**p with its k = 0 term."""
+    return builder(p, m, s) - harmonic_term(s, m).scale(faulhaber_poly(p) + int_pow(0, p))
+
+
 BAD_P = "power exponent p must be nonnegative, got -1"
 BAD_S = "offset n-1 is negative at n = 0"
 
@@ -108,12 +116,16 @@ class TestOffsetSums:
         assert offset_sum_g(p, m, S0) == sum_g(p, m)
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("offset_harmonic", [False, True])
+    @pytest.mark.parametrize("variant", [False, True])
     @pytest.mark.parametrize("m,s", [(1, S0), (3, LinearArg(1, 2)), (0, LinearArg(2, 0)),
                                      (-2, LinearArg(0, 3)), (2, LinearArg(0, 1))])  # fmt: skip
-    def test_zero_antidifference_is_the_zero_form(self, m, s, offset_harmonic, reverse):
-        """A zero weight has the zero antidifference, and both rows build nothing from it."""
-        assert _by_parts(Polynomial(), m, s, offset_harmonic, reverse) == ClosedForm()
+    def test_zero_antidifference_is_the_zero_form(self, m, s, variant, reverse):
+        """A zero weight has the zero antidifference, and both rows build nothing from it;
+        nor does the H_{s,k} variant, whose P(n) H_s^(m) correction is then zero too."""
+        cf = _by_parts(Polynomial(), m, s, reverse)
+        if variant:
+            cf = cf - harmonic_term(s, m).scale(Polynomial())
+        assert cf == ClosedForm()
 
     def test_p0_families_coincide_at_equal_offset(self):
         s = LinearArg(1, 0)
@@ -132,13 +144,14 @@ class TestOffsetSums:
 
     @pytest.mark.parametrize("family,builder", [("F", offset_sum_f), ("G", offset_sum_g)])
     def test_offset_harmonic_variant(self, family, builder):
-        # the H_{s,k} variant equals the literal sum over H_{s,*} and also
-        # the plain variant minus H_s^(m) * (power sum + [p = 0])
+        # the H_{s,k} variant, built by the subtraction, equals the literal sum
+        # over H_{s,*}, and its value is the plain one minus the oracle's
+        # H_s^(m) * (power sum + [p = 0])
         for p in range(4):
             for m in (1, 2):
                 for a, b in [(0, 0), (0, 2), (1, 0), (1, 1), (2, 1)]:
                     s = LinearArg(a, b)
-                    variant = builder(p, m, s, offset_harmonic=True)
+                    variant = h_sk_variant(builder, p, m, s)
                     plain = builder(p, m, s)
                     weight = faulhaber_poly(p) + (1 if p == 0 else 0)
                     for n in range(8):
@@ -173,7 +186,7 @@ class TestOffsetSums:
         assert parse_closed_form(render(cf, "json")) == cf
         assert power_expansion(family, 2, 2, s) == cf
 
-    @pytest.mark.parametrize("offset_harmonic", [False, True])
+    @pytest.mark.parametrize("variant", [False, True])
     @pytest.mark.parametrize(
         "s",
         [S0, LinearArg(0, 3), LinearArg(1, 0), LinearArg(2, 0), LinearArg(2, 1),
@@ -181,12 +194,13 @@ class TestOffsetSums:
         ids=str,
     )  # fmt: skip
     @pytest.mark.parametrize("builder", [offset_sum_f, offset_sum_g], ids=["F", "G"])
-    def test_built_on_presentation_basis(self, builder, s, offset_harmonic):
-        # summation by parts ends at H_{N+1} and H_s: no basis shift is left to do
+    def test_built_on_presentation_basis(self, builder, s, variant):
+        # summation by parts ends at H_{N+1} and H_s: no basis shift is left to do,
+        # and the H_{s,k} variant's correction H_s^(m) is on the same basis
         basis = offset_basis(s)
         for p in range(6):
             for m in range(-2, 5):
-                cf = builder(p, m, s, offset_harmonic=offset_harmonic)
+                cf = h_sk_variant(builder, p, m, s) if variant else builder(p, m, s)
                 assert shift_basis(cf, basis) == cf
                 assert all(sym.arg in basis for sym in cf.symbols())
                 assert cf.constant.is_polynomial
@@ -293,7 +307,7 @@ class TestMemoizedTermBuilders:
 
     def build_all(self) -> list:
         return [
-            (builder(p, m, s), builder(p, m, s, offset_harmonic=True))
+            (builder(p, m, s), h_sk_variant(builder, p, m, s))
             for p, m, s in self.ROWS
             for builder in (offset_sum_f, offset_sum_g)
         ]

@@ -35,6 +35,33 @@ class TestPolynomialArithmetic:
     def test_scalar_mixing(self):
         assert 2 * N + Fraction(1, 2) == Polynomial.of([Fraction(1, 2), 2])
 
+    def test_reflected_subtraction_and_scalar_equality(self):
+        assert 3 - N == Polynomial([3, -1])
+        assert Fraction(1, 2) - N == Polynomial([1, -2], 2)
+        assert Polynomial.constant(3) == 3
+        assert Polynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
+        assert Polynomial.constant(3) != 4
+
+    def test_leading_coefficient(self):
+        assert Polynomial([1, 4], 6).leading == Fraction(2, 3)
+        with pytest.raises(ValueError, match="^zero polynomial has no leading coefficient$"):
+            Polynomial().leading
+
+    def test_negative_power_refused(self):
+        assert N**0 == 1
+        with pytest.raises(ValueError, match="^negative polynomial power$"):
+            N**-1
+
+    def test_foreign_operand_is_not_implemented(self):
+        assert N.__eq__("n") is NotImplemented
+        assert N.__mul__("n") is NotImplemented
+        assert N.__truediv__("n") is NotImplemented
+        assert (N == "n") is False
+        with pytest.raises(TypeError):
+            N * "n"
+        with pytest.raises(TypeError):
+            N / "n"
+
     def test_quotient_reduces_to_polynomial(self):
         rf = (N**2 - 1) / (N + 1)
         assert isinstance(rf, RationalFunction)
@@ -229,6 +256,33 @@ class TestRationalFunction:
         assert a * b == 1 / ((N + 1) * (N + 2))
         assert (a - a).is_zero
         assert a / b == (N + 2) / (N + 1)
+
+    def test_reflected_operators_and_polynomial_equality(self):
+        rf = 1 / (N + 1)
+        assert Fraction(1, 2) - rf == (N - 1) / (2 * N + 2)
+        assert (Fraction(1, 2) - rf).evaluate(3) == Fraction(1, 4)
+        assert 1 / rf == N + 1
+        assert isinstance(1 / rf, RationalFunction)
+        assert RationalFunction(N) == N
+        assert RationalFunction(Fraction(2, 3)) == Fraction(2, 3)
+        assert rf != N + 1
+
+    def test_foreign_operand_is_not_implemented(self):
+        rf = 1 / (N + 1)
+        assert rf.__eq__("1/(n+1)") is NotImplemented
+        assert (rf == "1/(n+1)") is False
+
+    def test_hash_follows_structural_equality(self):
+        a = (N**2 - 1) / (N + 1)
+        b = RationalFunction(N - 1)
+        c = (N + 2) / ((N + 1) * (N + 2))
+        assert hash(a) == hash(b)
+        assert hash(c) == hash(1 / (N + 1))
+        assert len({a, b, c, 1 / (N + 1)}) == 2
+
+    def test_as_polynomial_refuses_a_pole(self):
+        with pytest.raises(ValueError, match="is not a polynomial$"):
+            (1 / (N + 1)).as_polynomial()
 
 
 class TestConstantDenominator:

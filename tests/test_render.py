@@ -19,6 +19,8 @@ from harmonic_sums import (
     catalog_entries,
     closed_form_to_json,
     faulhaber_poly,
+    harmonic_term,
+    int_pow,
     offset_sum_f,
     offset_sum_g,
     parse_closed_form,
@@ -107,6 +109,13 @@ class TestPolynomialDisplay:
         assert polynomial_text(Polynomial.of([Fraction(-3, 4)])) == "-3/4"
         assert polynomial_text(Polynomial()) == "0"
 
+    def test_negative_cofactor_sign_goes_to_the_content(self):
+        # the irreducible cofactor is shown with a positive leading coefficient
+        assert polynomial_text(-(N**2 + N + 1)) == "-(n^2+n+1)"
+        assert polynomial_text(-(N**2 + N + 1), latex=True) == "-(n^{2}+n+1)"
+        assert polynomial_text(-N * (N**2 + N + 1)) == "-n(n^2+n+1)"
+        assert polynomial_text(3 - N) == "-(n-3)"
+
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     # A fresh interpreter with a timeout, so a search that blows up fails
@@ -185,15 +194,18 @@ def test_render_sweep_digest():
 
 
 def test_offset_harmonic_sweep_digest():
-    # text and JSON of 1,134 offset_harmonic forms, each render followed by a
-    # NUL: the H_s^(m) correction meets G's boundary term at s
+    # text and JSON of 1,134 H_{s,k} variants, each the offset sum minus
+    # P(n) H_s^(m), each render followed by a NUL: the H_s^(m) correction
+    # meets G's boundary term at s
     digest = hashlib.sha256()
     for family in (offset_sum_f, offset_sum_g):
         for p in range(7):
+            weight = faulhaber_poly(p) + int_pow(0, p)
             for m in range(-3, 6):
                 for a in range(3):
                     for b in range(3):
-                        cf = family(p, m, LinearArg(a, b), offset_harmonic=True)
+                        s = LinearArg(a, b)
+                        cf = family(p, m, s) - harmonic_term(s, m).scale(weight)
                         for fmt in ("text", "json"):
                             digest.update(render(cf, fmt).encode() + b"\0")
     assert digest.hexdigest() == (

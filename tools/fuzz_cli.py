@@ -46,9 +46,11 @@ COMMANDS = ("identity", "table", "verify", "check", "bernoulli", "faulhaber")
 INTEGER_FLAGS = ("--p", "--m", "--w", "--offset-a", "--offset-b", "--n-max")
 # what a pipe's buffer (16 pages on Linux) and a reader of one byte can take
 PIPE_BYTES = 65536 + 1
-# values just past the bounds of some integer flags (and small enough to be
+# values one step past the bounds of some integer flags (and small enough to be
 # quick where another flag accepts them), past every bound, or not integers
-MALFORMED = ("-1", "-11", "11", "41", "81", "-1001", "10001", "x", "1.5", "", "1e3")
+PAST_BOUNDS = (cli.MAX_ORDER_BELOW - 1, cli.MAX_OFFSET + 1, cli.MAX_M + 1, cli.MAX_P + 1,
+               -cli.MAX_SBP_EXPONENT - 1, cli.MAX_N + 1)  # fmt: skip
+MALFORMED = ("-1", *map(str, PAST_BOUNDS), "x", "1.5", "", "1e3")
 
 
 def _flag(rng: random.Random, argv: list[str], name: str, low: int, high: int) -> None:

@@ -82,10 +82,10 @@ CATALOGUE = (
            "powers = [sign * int_pow(slope, u) for u in range(k)]",
            "powers = [sign for u in range(k)]",
            "the Taylor shift to j + lambda n taken at lambda = 1"),
-    Mutant("offset-harmonic-sign-flipped", _IDENTITIES,
-           "parts.append((-antidiff, harmonic_part(s, m)))",
-           "parts.append((antidiff, harmonic_part(s, m)))",
-           "offset_harmonic adds P(n) H_s^(m) instead of subtracting it"),
+    Mutant("boundary-term-sign-flipped", _IDENTITIES,
+           "parts = [(antidiff, harmonic_part(end, m))]",
+           "parts = [(-antidiff, harmonic_part(end, m))]",
+           "the boundary term P(n) H_e^(m) subtracted instead of added"),
     Mutant("reverse-inverted", _IDENTITIES,
            'reverse=family.upper() == "G")', 'reverse=family.upper() == "F")',
            "build_closed_form builds G for 'F' and F for 'G'"),
