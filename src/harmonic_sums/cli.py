@@ -87,8 +87,17 @@ def entrypoint() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
-        sys.set_int_max_str_digits(0)  # exact values may have any number of digits
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values may have any number of digits
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)  # the caller's limit, as it was
+
+
+def _run(argv: Sequence[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     created = False
     try:
@@ -167,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("table", _cmd_table, "emit the full identity catalogue")
 
     p_verify = command("verify", _cmd_verify, "verify closed forms against brute force")
-    p_verify.add_argument("--family", choices=("f", "g", "both"), default=None)
+    p_verify.add_argument("--family", choices=("f", "g"), default=None)
     p_verify.add_argument("--p", type=p_type, default=None)
     p_verify.add_argument("--m", type=m_type, default=None)
     p_verify.add_argument("--offset-a", type=offset_type, default=None)
@@ -269,7 +278,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
         offsets = DEFAULT_GRID["offsets"]
     lines: list[str] = []
     reports: list[dict] = []
-    for family in ("F", "G") if args.family in (None, "both") else (args.family.upper(),):
+    for family in ("F", "G") if args.family is None else (args.family.upper(),):
         total = 0
         failures: list[tuple[int, int, LinearArg, CheckRow]] = []
         for p in range(p_lo, p_hi + 1):

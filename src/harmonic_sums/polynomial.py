@@ -36,34 +36,24 @@ class PoleError(ZeroDivisionError):
 
 
 def _value_pair(
-    nums: tuple[int, ...], den: int, poles: Iterable[Pole], p: int, q: int = 1
-) -> tuple[int, int]:
-    """(nums[0] n**deg + ... + nums[deg]) / den / prod (n - r)**e at n = p/q,
-    numerators from the highest power down, as an unreduced pair (num, den),
-    den > 0: the one evaluator of polynomials, rational functions and sweeps.
-
-    Homogeneous Horner gives sum nums[deg-i] * p**i * q**(deg-i) over
-    den * q**deg; at an integer, plain Horner gives the same pair faster.
-    A pole r = rp/rq contributes n - r = (p*rq - rp*q) / (q*rq), so the pair
-    gains (q*rq)**e above and (p*rq - rp*q)**e below. Raises ``PoleError``
-    at a pole.
+    nums: tuple[int, ...], den: int, poles: Iterable[Pole], x: Scalar
+) -> tuple[Scalar, Scalar]:
+    """(nums[0] x**deg + ... + nums[deg]) / den / prod (x - r)**e, numerators
+    from the highest power down, as an unreduced pair (num, den), den > 0: the
+    one evaluator of polynomials, rational functions and sweeps. Plain Horner,
+    then each pole r = rp/rq puts rq**e above and (x*rq - rp)**e below. The
+    pair is integers at an integer x and Fractions at any other rational.
+    Raises ``PoleError`` at a pole.
     """
     num = 0
-    if q == 1:
-        for c in nums:
-            num = num * p + c
-    elif nums:
-        num, q_power = nums[0], 1
-        for c in nums[1:]:
-            q_power *= q
-            num = num * p + c * q_power
-        den *= q_power
+    for c in nums:
+        num = num * x + c
     for r, e in poles:
         rq = r.denominator
-        gap = p * rq - r.numerator * q
+        gap = x * rq - r.numerator
         if not gap:
-            raise PoleError(f"pole at n = {Fraction(p, q)}")
-        num *= (q * rq) ** e
+            raise PoleError(f"pole at n = {x}")
+        num *= rq**e
         den *= gap**e
     return (num, den) if den > 0 else (-num, -den)
 
@@ -226,23 +216,23 @@ class Polynomial:
         quot.reverse()
         return Polynomial(quot, self.den)
 
-    def value_at(self, x: Scalar) -> tuple[int, int]:
-        """The value at x = p/q as an unreduced pair (num, den), den > 0:
-        sum nums[i] * p**i * q**(deg-i) over den * q**deg (``_value_pair``)."""
-        return _value_pair(self.nums[::-1], self.den, (), x.numerator, x.denominator)
+    def value_at(self, x: Scalar) -> tuple[Scalar, Scalar]:
+        """The value at x as an unreduced pair (num, den), den > 0, by Horner
+        (``_value_pair``): integers at an integer x, Fractions at any other."""
+        return _value_pair(self.nums[::-1], self.den, (), x)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x, with one reduction of ``value_at``'s pair."""
         return Fraction(*self.value_at(x))
 
     def compose_linear(self, a: int, b: int) -> Polynomial:
-        """The polynomial p(a*n + b), expanded and canonical.
+        """The polynomial p(a*n + b) for integers a and b, expanded and canonical.
 
         An integer Taylor shift (nums[j] += b * nums[j+1]) gives p(n + b);
         coefficient j is then scaled by a**j from a running product. For
         a = 0 the numerators are just the constant p(b)'s, one evaluation.
         """
-        nums = list(self.nums) if a else [self.value_at(b)[0]]  # b is an integer
+        nums = list(self.nums) if a else [self.value_at(b)[0]]
         deg = len(nums) - 1
         if b:
             for i in range(deg):
@@ -424,12 +414,11 @@ class RationalFunction:
     def __rtruediv__(self, other: Polynomial | Scalar) -> RationalFunction:
         return _as_rf(other) / self
 
-    def value_at(self, x: Scalar) -> tuple[int, int]:
-        """The value at x = p/q as an unreduced pair (num, den), den > 0: the
-        numerator's pair times (q*rq)**e / (p*rq - rp*q)**e for each pole
-        r = rp/rq (``_value_pair``). Raises ``PoleError`` at a pole."""
-        num = self.num
-        return _value_pair(num.nums[::-1], num.den, self.poles, x.numerator, x.denominator)
+    def value_at(self, x: Scalar) -> tuple[Scalar, Scalar]:
+        """The value at x as an unreduced pair (num, den), den > 0: the
+        numerator's pair times rq**e / (x*rq - rp)**e for each pole r = rp/rq
+        (``_value_pair``). Raises ``PoleError`` at a pole."""
+        return _value_pair(self.num.nums[::-1], self.num.den, self.poles, x)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x: ``value_at``'s pair, reduced once.

@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, output files."""
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -101,6 +102,8 @@ class TestIdentity:
              f"--w: must be in {W_RANGE}, got {cli.MAX_SBP_EXPONENT + 1}"),
             (("check", "--sbp", "--w", str(-cli.MAX_SBP_EXPONENT - 1)),
              f"--w: must be in {W_RANGE}, got {-cli.MAX_SBP_EXPONENT - 1}"),
+            # no --family runs both families, so `both` is not a family
+            (("verify", "--family", "both"), "--family: invalid choice: 'both'"),
         ],
     )  # fmt: skip
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -380,8 +383,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "build_closed_form", corrupt)
         argv = (
-            "verify", "--family", "both", "--p", "1", "--m", "1",
-            "--offset-a", "1", "--n-max", "4",
+            "verify", "--p", "1", "--m", "1", "--offset-a", "1", "--n-max", "4",
         )  # fmt: skip
         code, out = run(capsys, *argv)
         assert code == 1
@@ -577,6 +579,16 @@ class TestAuxiliaryCommands:
         code, out = run(capsys, "bernoulli", "--n-max", "0", "--format", fmt)
         assert code == 0
         assert expected.format(num="1" + "0" * 4999 + "1") in out
+
+    @pytest.mark.parametrize(
+        "argv", [("bernoulli", "--n-max", "2"), ("verify", "--p", "x")], ids=["ran", "refused"]
+    )
+    def test_caller_digit_limit_is_restored(self, capsys, default_digit_limit, argv):
+        # main lifts the limit for its own run only, also when argparse exits
+        sys.set_int_max_str_digits(4321)
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+        assert sys.get_int_max_str_digits() == 4321
 
     def test_faulhaber(self, capsys):
         code, out = run(capsys, "faulhaber", "--p", "3")

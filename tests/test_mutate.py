@@ -1,7 +1,8 @@
 """tools/mutate.py refuses a stale catalogue: a snippet it cannot apply is an error, never a pass.
+Each mutant's run names every test file once, its own module's first.
 
-These tests read only a temporary tree, never the package's sources, so
-they pass in every mutant's copy as well.
+These tests read a temporary tree and the names of the test files, never
+the package's sources, so they pass in every mutant's copy as well.
 """
 
 import importlib.util
@@ -32,3 +33,13 @@ def test_stale_reports_every_unusable_snippet(tmp_path):
         "mutant no-change: the replacement changes nothing",
     ]
 
+
+def test_each_mutant_runs_its_own_module_tests_first():
+    root = Path(__file__).resolve().parent.parent
+    everything = sorted(f"tests/{path.name}" for path in (root / "tests").glob("test_*.py"))
+    assert mutate.tier1_files(root) == everything
+    for mutant in mutate.CATALOGUE:
+        own = f"tests/test_{Path(mutant.file).stem}.py"
+        assert own in everything, mutant.name
+        # each file exactly once: its own module's first, the rest in name order
+        assert mutate.tier1_files(root, mutant) == [own, *(f for f in everything if f != own)]

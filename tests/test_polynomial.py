@@ -103,6 +103,12 @@ class TestPolynomialArithmetic:
             rhs = poly.compose_linear(a1 * a2, a1 * b2 + b1)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_compose_linear_takes_integers_only(self, a):
+        # a = 0 folds to the constant p(b); at b = 1/2 that is 11/4, never 11
+        with pytest.raises(TypeError):
+            Polynomial([1, 2, 3]).compose_linear(a, Fraction(1, 2))
+
     @pytest.mark.parametrize(
         "poly,x,expected",
         [
@@ -118,13 +124,16 @@ class TestPolynomialArithmetic:
         [
             (2, (1 + 2 * 2 + 3 * 4, 4)),
             (-3, (1 - 2 * 3 + 3 * 9, 4)),
-            (Fraction(2, 3), (1 * 9 + 2 * 2 * 3 + 3 * 4, 4 * 9)),
-            (Fraction(-1, 2), (1 * 4 - 2 * 2 + 3 * 1, 4 * 4)),
+            (Fraction(2, 3), (Fraction(11, 3), 4)),  # 1 + 2(2/3) + 3(4/9): the value 11/12
+            (Fraction(-1, 2), (Fraction(3, 4), 4)),  # 1 - 2(1/2) + 3(1/4): the value 3/16
         ],
     )
     def test_value_at_is_the_documented_pair(self, x, pair):
-        # (sum nums[i] * p**i * q**(deg-i), den * q**deg) at p/q, unreduced
-        assert Polynomial([1, 2, 3], 4).value_at(x) == pair
+        # (sum nums[i] * x**i, den), unreduced: an integer numerator at an
+        # integer x, a Fraction at any other rational
+        num, den = Polynomial([1, 2, 3], 4).value_at(x)
+        assert (num, den) == pair
+        assert type(num) is type(x) and type(den) is int
 
 
 class TestRationalFunction:
@@ -139,13 +148,14 @@ class TestRationalFunction:
         [
             (4, (9 * 2**3, 3**3)),
             (1, (-3 * 2**3, 3**3)),
-            (Fraction(1, 3), (-5 * 6**3, 3 * 13**3)),
+            # 1 + 2/3 times 2**3 over (2/3 - 5)**3: the value -360/2197
+            (Fraction(1, 3), (Fraction(-5, 3) * 2**3, Fraction(13, 3) ** 3)),
         ],
     )
     def test_value_at_folds_each_pole_into_the_pair(self, x, pair):
-        # at p/q the pole r = rp/rq puts (q*rq)**e above and (p*rq - rp*q)**e
-        # below; at 1 and 1/3 that gap is negative, to an odd power, and the
-        # pair's signs are flipped so that den > 0
+        # the pole r = rp/rq puts rq**e above and (x*rq - rp)**e below; at 1
+        # and 1/3 that gap is negative, to an odd power, and the pair's signs
+        # are flipped so that den > 0
         rf = RationalFunction(Polynomial([1, 2]), [(Fraction(5, 2), 3)])
         assert rf.value_at(x) == pair
         with pytest.raises(PoleError, match=r"^pole at n = 5/2$"):

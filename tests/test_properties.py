@@ -644,27 +644,30 @@ def test_rational_value_at_matches_fraction_reference(rf, xs):
             continue
         want = reference_rf_value(rf, x)
         num, den = rf.value_at(x)
-        assert type(num) is int and type(den) is int and den > 0, x
+        assert den > 0, x
+        if type(x) is int:
+            assert type(num) is int and type(den) is int, x
         assert Fraction(num, den) == want, x
         assert rf.evaluate(x) == want, x
-        # the documented pair: at x = p/q each pole r = rp/rq puts (q*rq)**e
-        # above the numerator's pair and (p*rq - rp*q)**e below
-        p, q = x.numerator, x.denominator
+        # the documented pair: each pole r = rp/rq puts rq**e above the
+        # numerator's pair and (x*rq - rp)**e below
         num, den = rf.num.value_at(x)
         for r, e in rf.poles:
-            num *= (q * r.denominator) ** e
-            den *= (p * r.denominator - r.numerator * q) ** e
+            num *= r.denominator**e
+            den *= (x * r.denominator - r.numerator) ** e
         assert rf.value_at(x) == ((num, den) if den > 0 else (-num, -den)), x
 
 
 @MANY
 @given(polynomials, st.lists(points, min_size=1, max_size=4))
 def test_polynomial_value_at_is_the_documented_pair(poly, xs):
-    deg = max(poly.degree, 0)
-    for x in map(Fraction, xs):
-        p, q = x.numerator, x.denominator
-        num = sum(c * p**i * q ** (deg - i) for i, c in enumerate(poly.nums))
-        assert poly.value_at(x) == (num, poly.den * q**deg), x
+    # (sum nums[i] * x**i, den): an integer pair at an integer x, and the
+    # same exact pair at a Fraction
+    for x in [*xs, *map(Fraction, xs)]:
+        num, den = poly.value_at(x)
+        assert (num, den) == (sum(c * x**i for i, c in enumerate(poly.nums)), poly.den), x
+        if type(x) is int:
+            assert type(num) is int and type(den) is int, x
 
 
 built_forms = st.builds(

@@ -345,6 +345,26 @@ class TestJsonContract:
         with pytest.raises(ValueError, match="does not split"):
             parse_closed_form(data)
 
+    @staticmethod
+    def _shifted_pole(b):
+        # H_{n+b}^(2) moved onto n+b+1: the constant gets a double pole at n = -(b+1)
+        cf = ClosedForm(0, {HarmonicSymbol(LinearArg(1, b), 2): 1})
+        return shift_basis(cf, frozenset({LinearArg(1, b + 1)}))
+
+    def test_round_trip_of_a_pole_at_root_bound(self):
+        cf = self._shifted_pole(999)  # the pole -1000 is just within ROOT_BOUND
+        assert parse_closed_form(closed_form_to_json(cf)) == cf
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="known defect: parsing splits the expanded denominator (n+5001)^2 "
+        "with the root search bounded by ROOT_BOUND = 1000",
+    )
+    def test_round_trip_of_a_pole_past_root_bound(self):
+        cf = self._shifted_pole(5000)
+        assert parse_closed_form(closed_form_to_json(cf)) == cf
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(ClosedForm.zero(), "html")

@@ -69,7 +69,7 @@ def draw_argv(rng: random.Random, tmp: str) -> list[str]:
         _flag(rng, argv, "--offset-b", 0, 3)
     elif command == "verify":
         if rng.random() < 0.5:
-            argv += ["--family", rng.choice(("f", "g", "both"))]
+            argv += ["--family", rng.choice("fg")]
         _flag(rng, argv, "--p", 0, 12)
         _flag(rng, argv, "--m", -10, 10)
         _flag(rng, argv, "--offset-a", 0, 3)

@@ -10,21 +10,24 @@ exit 2, never a pass.
 
 Each run takes a temporary copy of the repository (without `.git` and
 caches), so the working tree is never touched, and runs tier-1 in it up to
-its first failing test:
+its first failing test, naming every test file once:
 
-    PYTHONPATH=<copy>/src python -m pytest -q -x --continue-on-collection-errors
+    PYTHONPATH=<copy>/src python -m pytest -q -x --continue-on-collection-errors FILES...
 
-An unmutated copy runs first and alone: a kill means something only when the
-tree itself passes, so a failing unmutated copy ends the run with exit 1
-before any mutant runs. Then each mutant replaces its snippet in its own
-copy, at most 2 copies at a time.
+An unmutated copy runs first and alone, with the files in name order: a kill
+means something only when the tree itself passes, so a failing unmutated
+copy ends the run with exit 1 before any mutant runs. Then each mutant
+replaces its snippet in its own copy, at most 2 copies at a time, and its
+run lists its own module's tests first (`tests/test_render.py` for a mutant
+of `render.py`), then every other test file in name order, so a mutant that
+its module's unit tests kill dies there.
 
 Prints one line per run on stderr as the run ends, then a JSON report on
-stdout: the unmutated run, then per mutant in catalogue order, killed or
-survived, the first failing test, pytest's summary line and the seconds. A
-run past 15 minutes counts as killed, and says so. Exits 0 when every mutant
-is killed, 1 when one survives or the unmutated copy fails, 2 on a stale
-snippet or a usage error.
+stdout: the unmutated run's command and record, then per mutant in
+catalogue order, killed or survived, the first failing test, pytest's
+summary line and the seconds. A run past 15 minutes counts as killed, and
+says so. Exits 0 when every mutant is killed, 1 when one survives or the
+unmutated copy fails, 2 on a stale snippet or a usage error.
 """
 
 from __future__ import annotations
@@ -101,21 +104,15 @@ CATALOGUE = (
            "return (num, den) if den > 0 else (-num, -den)", "return num, den",
            "a pair with den < 0 from a pole below the point"),
     Mutant("value-pair-gap-sign-flipped", _POLYNOMIAL,
-           "gap = p * rq - r.numerator * q", "gap = r.numerator * q - p * rq",
+           "gap = x * rq - r.numerator", "gap = r.numerator - x * rq",
            "n - r read as r - n: odd poles change the sign of the value"),
     Mutant("value-pair-pole-error-dropped", _POLYNOMIAL,
            "        if not gap:\n"
-           '            raise PoleError(f"pole at n = {Fraction(p, q)}")\n', "",
+           '            raise PoleError(f"pole at n = {x}")\n', "",
            "a pole evaluates to a pair with den 0 instead of raising PoleError"),
-    Mutant("value-pair-q-dropped-from-pole", _POLYNOMIAL,
-           "num *= (q * rq) ** e", "num *= rq**e",
-           "a pole at a fractional point loses q**e above"),
-    Mutant("value-pair-q-power-dropped", _POLYNOMIAL,
-           "        den *= q_power\n", "",
-           "homogeneous Horner loses q**deg below"),
-    Mutant("value-pair-integer-branch-always", _POLYNOMIAL,
-           "    if q == 1:\n        for c in nums:", "    if True:\n        for c in nums:",
-           "plain Horner at a fractional point reads p/q as p"),
+    Mutant("value-pair-rq-dropped-from-pole", _POLYNOMIAL,
+           "        num *= rq**e\n", "",
+           "a pole r = rp/rq with rq > 1 loses rq**e above"),
     # identities._power_sum and exact.BernoulliCache: the power sums' two sources
     Mutant("power-sum-k0-term-dropped", _IDENTITIES,
            "return faulhaber_poly(p) + int_pow(0, p)", "return faulhaber_poly(p)",
@@ -193,6 +190,19 @@ def stale(root: Path, mutants: list[Mutant]) -> list[str]:
     return problems
 
 
+def tier1_files(root: Path, mutant: Mutant | None = None) -> list[str]:
+    """Every ``tests/test_*.py`` under root once, in name order; for a mutant,
+    its own module's ``tests/test_<module>.py`` first. pytest keeps the order
+    of a list of files, while a file named next to ``tests`` is folded back
+    into the directory's order."""
+    files = sorted(path.relative_to(root).as_posix() for path in (root / "tests").glob("test_*.py"))
+    if mutant is not None:
+        own = f"tests/test_{Path(mutant.file).stem}.py"
+        files.remove(own)  # ValueError if the module has no test file
+        files.insert(0, own)
+    return files
+
+
 def _first_failure(output: str) -> str | None:
     """The first test id of pytest's short summary, if any."""
     for line in output.splitlines():
@@ -215,7 +225,7 @@ def run_tier1(mutant: Mutant | None) -> tuple[bool, dict]:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         try:
             done = subprocess.run(
-                [sys.executable, *TIER1], cwd=copy, env=env, timeout=TIMEOUT_S,
+                [sys.executable, *TIER1, *tier1_files(copy, mutant)], cwd=copy, env=env, timeout=TIMEOUT_S,
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             )  # fmt: skip
             failed, output = done.returncode != 0, done.stdout
@@ -241,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failed, baseline = run_tier1(None)
     print(f"unmutated ({baseline['summary']}, {baseline['seconds']} s)", file=sys.stderr, flush=True)
-    report: dict = {"command": ["python", *TIER1], "unmutated": baseline}
+    report: dict = {"command": ["python", *TIER1, *tier1_files(ROOT)], "unmutated": baseline}
     if failed:
         print("error: the unmutated copy fails, so no mutant was run", file=sys.stderr)
         print(json.dumps(report, indent=2))
