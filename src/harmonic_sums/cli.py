@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import sys
+import threading
 from typing import Callable, Iterator, Sequence
 
 from .catalog import catalog_entries
@@ -49,9 +50,10 @@ from .render import (
 # machine, and the slowest `verify` calls (both families, n 0..40, at
 # s = 10n+10 or at MAX_M and 10n+9) about 0.7 s and 1.7-1.8 s, within a 10 s budget.
 # `faulhaber` builds one power-sum polynomial only; at MAX_FAULHABER_P it
-# takes about 3 s. `bernoulli` up to MAX_BERNOULLI_N takes about 5 s; both
-# are dominated by the Bernoulli triangle, whose cost grows like n**3
-# (B_0..B_3000 takes 5-6 s). MAX_SBP_EXPONENT bounds `check --m` above and
+# takes about 2 s as a whole process, and `bernoulli` up to MAX_BERNOULLI_N
+# about 2.3-3.1 s. Both are dominated by the Bernoulli numbers, whose
+# tangent recurrence costs about n**3 digit operations.
+# MAX_SBP_EXPONENT bounds `check --m` above and
 # `check --w` on both sides, so the sweep orders m and m - w are at most
 # 2 * MAX_SBP_EXPONENT: at the default n_max of 30 the slowest corner,
 # `check --sbp --m 1000 --w -1000`, takes about 0.2 s, and about 0.9 s at
@@ -86,15 +88,30 @@ def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
 
 
+# The int-to-str digit limit is process-wide, so main calls in several
+# threads share one lift: the first in saves the caller's limit and lifts
+# it, and the last out restores it.
+_DIGIT_LIMIT_LOCK = threading.Lock()
+_lifts = 0  # main calls running with the limit lifted
+_saved_limit = 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _lifts, _saved_limit
     if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
         return _run(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # exact values may have any number of digits
+    with _DIGIT_LIMIT_LOCK:
+        if not _lifts:
+            _saved_limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)  # exact values may have any number of digits
+        _lifts += 1
     try:
         return _run(argv)
     finally:
-        sys.set_int_max_str_digits(limit)  # the caller's limit, as it was
+        with _DIGIT_LIMIT_LOCK:
+            _lifts -= 1
+            if not _lifts:
+                sys.set_int_max_str_digits(_saved_limit)  # the caller's limit, as it was
 
 
 def _run(argv: Sequence[str] | None) -> int:

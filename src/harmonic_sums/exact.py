@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from itertools import accumulate
 
 __all__ = ["BernoulliCache", "bernoulli_plus", "binomial", "int_pow"]
 
@@ -38,34 +37,51 @@ def int_pow(base: int | Fraction, exp: int) -> int | Fraction:
     return Fraction(base) ** exp
 
 
+def _next_column(column: list[int]) -> list[int]:
+    """Column i of the tangent recurrence from column i - 1 (see BernoulliCache)."""
+    i = len(column) + 1
+    c = (i - 1) * column[0]
+    out = [c]
+    for a, p in zip(range(i - 2, 0, -1), column[1:]):  # a = i - k, p = p_k
+        c = a * p + (a + 2) * c
+        out.append(c)
+    out.append(2 * c)
+    return out
+
+
 class BernoulliCache:
     """Append-only cache of Bernoulli numbers in the B_1 = +1/2 convention.
 
-    Integers only, from the Seidel-Entringer (boustrophedon) triangle:
-    row 0 is [1], and row r is the running sums of row r-1 reversed,
-    starting from 0,
+    Integers only, from the tangent numbers T_j (1, 2, 16, 272, ...) of
+    Brent & Harvey's TangentNumbers recurrence ("Fast computation of
+    Bernoulli, Tangent and Secant numbers", arXiv:1108.0286), and
 
-        row_r[0] = 0,   row_r[i] = row_r[i-1] + row_{r-1}[r-i].
+        B_2j = (-1)**(j-1) * 2j * T_j / (4**j * (4**j - 1)),
 
-    The last entry of row r is the Euler zigzag number E_r, and the odd
-    ones are the tangent numbers T_j = E_{2j-1} (1, 2, 16, 272, ...), so
+    one reduction per value. B_0 = 1 and B_1 = +1/2 are stored as such,
+    and odd indices >= 3 are 0.
 
-        B_2j = (-1)**(j-1) * 2j * T_j / (4**j * (4**j - 1))
+    The in-place algorithm sets T_i = (i-1)! in its first pass, and pass
+    k >= 2 updates T_i = (i-k) T_{i-1} + (i-k+2) T_i for every i >= k.
+    Let t_k(i) be T_i after pass k. The cache keeps the column
+    t_1(j)..t_j(j) of the last tangent index j, and T_j = t_j(j). The
+    column p of index i - 1 gives the column c of index i in one loop,
 
-    (Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
-    numbers", arXiv:1108.0286), one reduction per value. B_0 = 1 and
-    B_1 = +1/2 are stored as such, and odd indices >= 3 are 0. Growth is
-    incremental: the cache keeps the last triangle row it built, and two
-    more rows give the next even value. Row r has r + 1 entries, so the
-    row states its own index: a growth cut short by an exception leaves
-    a valid row and a valid prefix, and the next growth resumes from
-    both. Growth is lock-guarded; readers always see a consistent prefix
-    and the same index always yields the same value.
+        c_1 = (i-1) p_1,   c_k = (i-k) p_k + (i-k+2) c_{k-1}  (1 < k < i),
+        c_i = 2 c_{i-1},
+
+    so growth is append-only: one new column per tangent number, and no
+    work past the index asked for. The new column is built in a local
+    list and published by one assignment; its length states its own
+    index, so a growth cut short by an exception leaves a valid column
+    and a valid prefix, and the next growth resumes from both. Growth is
+    lock-guarded; readers always see a consistent prefix and the same
+    index always yields the same value.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1), Fraction(1, 2)]
-        self._row: list[int] = [1]
+        self._column: list[int] = [1]  # t_1(1) = T_1
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -85,11 +101,11 @@ class BernoulliCache:
             if m % 2:
                 values.append(Fraction(0))
                 continue
-            while len(self._row) < m:  # row m - 1 ends with T_j, j = m/2
-                self._row = list(accumulate(reversed(self._row), initial=0))
             j = m // 2
+            while len(self._column) < j:  # the column of index j ends with T_j
+                self._column = _next_column(self._column)
             four_j = 4**j
-            signed_tangent = self._row[-1] if j % 2 else -self._row[-1]  # (-1)**(j-1) * T_j
+            signed_tangent = self._column[-1] if j % 2 else -self._column[-1]  # (-1)**(j-1) * T_j
             values.append(Fraction(m * signed_tangent, four_j * (four_j - 1)))
 
 

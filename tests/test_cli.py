@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -589,6 +590,24 @@ class TestAuxiliaryCommands:
         with contextlib.suppress(SystemExit):
             main(list(argv))
         assert sys.get_int_max_str_digits() == 4321
+
+    def test_caller_digit_limit_is_restored_after_two_threads(self, capsys, tmp_path, default_digit_limit):
+        # one long render past 4,300 digits beside many short calls: the limit
+        # stays lifted while any call runs, and the caller's comes back after
+        long_code, short_codes = [], []
+        long_run = threading.Thread(
+            target=lambda: long_code.append(main(["faulhaber", "--p", "2200", "--output", str(tmp_path / "p")]))
+        )
+        long_run.start()
+        deadline = time.monotonic() + 60
+        while (long_run.is_alive() and time.monotonic() < deadline) or not short_codes:
+            short_codes.append(main(["bernoulli", "--n-max", "1", "--output", str(tmp_path / "b")]))
+        long_run.join(timeout=60)
+        assert not long_run.is_alive()
+        assert long_code == [0] and set(short_codes) == {0}
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        assert (tmp_path / "b").read_text() == "B+(0) = 1\nB+(1) = 1/2\n"
+        assert max(map(len, (tmp_path / "p").read_text().split())) > 4300
 
     def test_faulhaber(self, capsys):
         code, out = run(capsys, "faulhaber", "--p", "3")

@@ -3,6 +3,7 @@
 import sys
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
 
 import pytest
@@ -23,6 +24,19 @@ def akiyama_tanigawa(count: int) -> list[Fraction]:
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
         out.append(row[0])
+    return out
+
+
+def seidel_entringer_tangents(count: int) -> list[int]:
+    """Independent tangent-number oracle: T_1..T_count from the
+    Seidel-Entringer (boustrophedon) triangle, whose row r starts at 0 and
+    runs the partial sums of row r - 1 reversed. The last entry of row r
+    is the zigzag number E_r, and T_j = E_{2j-1}."""
+    row, out = [1], []
+    while len(out) < count:
+        row = list(accumulate(reversed(row), initial=0))
+        if len(row) % 2 == 0:  # row 2j - 1
+            out.append(row[-1])
     return out
 
 
@@ -79,23 +93,43 @@ class TestBernoulli:
             assert value.denominator > 0
 
     def test_failed_growth_leaves_a_consistent_cache(self, monkeypatch):
-        fast = exact.accumulate
+        fast = exact._next_column
         calls = 0
 
-        def failing_accumulate(*args, **kwargs):
+        def failing_next_column(column):
             nonlocal calls
             calls += 1
-            if calls == 9:  # the second of the two rows that give B_10
+            if calls == 4:  # the column of T_5, which gives B_10
                 raise RuntimeError("interrupted growth")
-            return fast(*args, **kwargs)
+            return fast(column)
 
         cache = BernoulliCache()
-        monkeypatch.setattr(exact, "accumulate", failing_accumulate)
+        monkeypatch.setattr(exact, "_next_column", failing_next_column)
         with pytest.raises(RuntimeError):
             cache.get(20)
-        monkeypatch.setattr(exact, "accumulate", fast)
-        assert len(cache) == 10  # B_0..B_9, with the row for B_10 half built
+        monkeypatch.setattr(exact, "_next_column", fast)
+        assert len(cache) == 10  # B_0..B_9, with the column for B_10 never published
         assert [cache.get(k) for k in range(41)] == akiyama_tanigawa(40)
+
+    def test_tangent_numbers(self):
+        column, tangents = [1], [1]
+        for _ in range(9):
+            column = exact._next_column(column)
+            tangents.append(column[-1])
+        expected = [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312, 209865342976, 29088885112832]
+        assert tangents == expected
+        assert seidel_entringer_tangents(10) == expected
+
+    def test_matches_the_seidel_entringer_triangle(self):
+        # B_0..B_600, the benchmark's size, from a fresh cache
+        cache = BernoulliCache()
+        tangents = seidel_entringer_tangents(300)
+        expected = [Fraction(1), Fraction(1, 2)]
+        for m in range(2, 601):
+            j = m // 2
+            tangent = 0 if m % 2 else (-1) ** (j - 1) * tangents[j - 1]
+            expected.append(Fraction(m * tangent, 4**j * (4**j - 1)))
+        assert [cache.get(k) for k in range(601)] == expected
 
 
 class TestBernoulliCacheUnderThreads:

@@ -375,6 +375,54 @@ class TestVerifyGrid:
                             assert (row.lhs, row.rhs) == (lhs, rhs)
 
 
+def literal_h(n, m):
+    """H_n^(m) = sum_{k=1}^n k**-m, one Fraction term at a time."""
+    return sum((Fraction(k) ** -m for k in range(1, n + 1)), Fraction(0))
+
+
+class TestCheckRows:
+    """The summation-by-parts and corollary rows at small n, against literal sums."""
+
+    @pytest.mark.parametrize("m,w", [(1, 1), (2, 1), (1, 3), (0, 2), (2, -1), (-1, 2), (3, -2)])
+    def test_sbp_rows_match_literal_sums(self, m, w):
+        rows = list(oracle.sbp_rows(m, w, 8))
+        assert [row.n for row in rows] == list(range(9))
+        for row in rows:
+            n = row.n
+            # the k = 0 term is zero since H_0 = 0, also where 0**w is a pole
+            terms = ((Fraction(k + 1) ** w - Fraction(k) ** w) * literal_h(k, m) for k in range(1, n + 1))
+            lhs = sum(terms, Fraction(0))
+            rhs = Fraction(n + 1) ** w * literal_h(n, m) - literal_h(n, m - w)
+            assert row.den > 0 and (row.lhs, row.rhs) == (lhs, rhs), (m, w, n)
+            assert row.passed
+
+    def test_corollary_rows_match_literal_sums(self):
+        inv_k = list(oracle.corollary_rows("inv_k", 6))
+        assert [row.n for row in inv_k] == list(range(1, 7))
+        for row in inv_k:
+            n = row.n
+            lhs = sum((literal_h(k, 1) / k for k in range(1, n + 1)), Fraction(0))
+            assert (row.lhs, row.rhs) == (lhs, (literal_h(n, 1) ** 2 + literal_h(n, 2)) / 2), n
+        inv_k_plus_1 = list(oracle.corollary_rows("inv_k_plus_1", 6))
+        assert [row.n for row in inv_k_plus_1] == list(range(7))
+        for row in inv_k_plus_1:
+            n = row.n
+            lhs = sum((literal_h(k, 1) / (k + 1) for k in range(n + 1)), Fraction(0))
+            assert (row.lhs, row.rhs) == (lhs, (literal_h(n + 1, 1) ** 2 - literal_h(n + 1, 2)) / 2), n
+
+    def test_corollary_signs_at_small_n(self):
+        # H_2 = 3/2 and H_2^(2) = 5/4: (9/4 + 5/4)/2 = 7/4 at n = 2 for 1/k,
+        # and (9/4 - 5/4)/2 = 1/2 at n = 1 for 1/(k+1)
+        inv_k = list(oracle.corollary_rows("inv_k", 2))[-1]
+        inv_k_plus_1 = list(oracle.corollary_rows("inv_k_plus_1", 1))[-1]
+        assert (inv_k.n, inv_k.lhs, inv_k.rhs) == (2, Fraction(7, 4), Fraction(7, 4))
+        assert (inv_k_plus_1.n, inv_k_plus_1.lhs, inv_k_plus_1.rhs) == (1, Fraction(1, 2), Fraction(1, 2))
+
+    def test_unknown_corollary_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown corollary 'x'$"):
+            next(oracle.corollary_rows("x", 1))
+
+
 def package_imports(module) -> dict[str, set[str]]:
     """The names a module's source imports from harmonic_sums, by submodule
     ("*" for a whole module), read from its syntax tree, lazy imports included."""

@@ -67,6 +67,7 @@ _ORACLE = "src/harmonic_sums/oracle.py"
 _RENDER = "src/harmonic_sums/render.py"
 _CLOSED_FORM = "src/harmonic_sums/closed_form.py"
 _CLI = "src/harmonic_sums/cli.py"
+_EXACT = "src/harmonic_sums/exact.py"
 _ROW = "sigma, c, slope, end = (-1, s.b, -s.a - 1, s) if reverse else (1, -s.b - 1, -s.a, top)"
 
 CATALOGUE = (
@@ -113,14 +114,20 @@ CATALOGUE = (
     Mutant("value-pair-rq-dropped-from-pole", _POLYNOMIAL,
            "        num *= rq**e\n", "",
            "a pole r = rp/rq with rq > 1 loses rq**e above"),
-    # identities._power_sum and exact.BernoulliCache: the power sums' two sources
+    # identities._power_sum and exact.BernoulliCache: the power sums' two sources, and the tangent column
     Mutant("power-sum-k0-term-dropped", _IDENTITIES,
            "return faulhaber_poly(p) + int_pow(0, p)", "return faulhaber_poly(p)",
            "P(x) without its k = 0 term, 0**0 = 1 at p = 0"),
-    Mutant("bernoulli-sign-flipped", "src/harmonic_sums/exact.py",
-           "signed_tangent = self._row[-1] if j % 2 else -self._row[-1]",
-           "signed_tangent = -self._row[-1] if j % 2 else self._row[-1]",
+    Mutant("bernoulli-sign-flipped", _EXACT,
+           "signed_tangent = self._column[-1] if j % 2 else -self._column[-1]",
+           "signed_tangent = -self._column[-1] if j % 2 else self._column[-1]",
            "every even Bernoulli number from B_2 on with the wrong sign"),
+    Mutant("tangent-recurrence-weight-off-by-one", _EXACT,
+           "c = a * p + (a + 2) * c", "c = a * p + (a + 1) * c",
+           "t_k(i) = (i-k) t_k(i-1) + (i-k+1) t_{k-1}(i): every T_j from T_3 on is wrong"),
+    Mutant("tangent-last-entry-not-doubled", _EXACT,
+           "out.append(2 * c)", "out.append(c)",
+           "T_i read before the recurrence's last pass, half its value"),
     # oracle: the direct sums and the check rows, which share no code with the constructors
     Mutant("oracle-g-weights-not-reversed", _ORACLE,
            'weights = powers if family == "F" else powers[n::-1]',
