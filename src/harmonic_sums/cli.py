@@ -25,7 +25,6 @@ import math
 import os
 import stat
 import sys
-import threading
 from typing import Callable, Iterator, Sequence
 
 from .catalog import catalog_entries
@@ -88,33 +87,7 @@ def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
 
 
-# The int-to-str digit limit is process-wide, so main calls in several
-# threads share one lift: the first in saves the caller's limit and lifts
-# it, and the last out restores it.
-_DIGIT_LIMIT_LOCK = threading.Lock()
-_lifts = 0  # main calls running with the limit lifted
-_saved_limit = 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    global _lifts, _saved_limit
-    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before the limit lack it
-        return _run(argv)
-    with _DIGIT_LIMIT_LOCK:
-        if not _lifts:
-            _saved_limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)  # exact values may have any number of digits
-        _lifts += 1
-    try:
-        return _run(argv)
-    finally:
-        with _DIGIT_LIMIT_LOCK:
-            _lifts -= 1
-            if not _lifts:
-                sys.set_int_max_str_digits(_saved_limit)  # the caller's limit, as it was
-
-
-def _run(argv: Sequence[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     created = False
     try:
@@ -244,7 +217,8 @@ def _failure_json(row: CheckRow) -> dict:
 
 
 def _failure_text(row: CheckRow) -> str:
-    return f"at n={row.n}: direct sum {row.lhs} != closed form {row.rhs}"
+    lhs, rhs = _fraction_text(row.lhs, latex=False), _fraction_text(row.rhs, latex=False)
+    return f"at n={row.n}: direct sum {lhs} != closed form {rhs}"
 
 
 def _cmd_identity(args: argparse.Namespace) -> Result:
@@ -401,7 +375,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> Result:
         return 0, {"values": [{"k": k, **fraction_to_json(v)} for k, v in values]}
     if args.format == "latex":
         return 0, [f"B^+_{{{k}}} = {_fraction_text(v, latex=True)}" for k, v in values]
-    return 0, [f"B+({k}) = {v}" for k, v in values]
+    return 0, [f"B+({k}) = {_fraction_text(v, latex=False)}" for k, v in values]
 
 
 def _cmd_faulhaber(args: argparse.Namespace) -> Result:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -109,6 +110,14 @@ def _power(base: str, e: int, latex: bool) -> str:
     return f"{base}^{{{e}}}" if latex else f"{base}^{e}"
 
 
+def _digits(n: int) -> str:
+    """str(n), through Decimal for an int past the interpreter's int/str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
     """Unfactored integer coefficients, constant term first, printed in
     descending powers: '2n^2+2n-1', '2n+1', and '0' for no nonzero term."""
@@ -119,7 +128,7 @@ def _plain_poly(nums: tuple[int, ...], latex: bool) -> str:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mono = _power("n", power, latex)
-        mag = "" if abs(c) == 1 and mono else abs(c)
+        mag = "" if abs(c) == 1 and mono else _digits(abs(c))
         parts.append(f"{sign}{mag}{mono}")
     return "".join(parts) or "0"
 

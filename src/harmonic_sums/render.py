@@ -15,10 +15,13 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .closed_form import ClosedForm, HarmonicSymbol, LinearArg, _harmonic_label, _plain_poly, _power
+from .closed_form import (
+    ClosedForm, HarmonicSymbol, LinearArg, _digits, _harmonic_label, _plain_poly, _power,
+)
 from .polynomial import Pole, Polynomial, RationalFunction, faulhaber_poly, linear_factors
 
 __all__ = [
@@ -91,10 +94,11 @@ def _pole_factors(poles: Sequence[Pole]) -> tuple[Fraction, Factors]:
 
 
 def _fraction_text(q: Fraction, latex: bool) -> str:
-    if latex and q.denominator != 1:
-        sign = "-" if q < 0 else ""
-        return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-    return str(q)
+    text = _digits(abs(q.numerator))  # 'num' or 'num/den' as str(q) prints them
+    if q.denominator != 1:
+        den = _digits(q.denominator)
+        text = f"\\frac{{{text}}}{{{den}}}" if latex else f"{text}/{den}"
+    return f"-{text}" if q < 0 else text
 
 
 def _scaled(c: Fraction, body: str, latex: bool) -> str:
@@ -243,7 +247,7 @@ CLOSED_FORM_SCHEMA = {
 
 def fraction_to_json(q: Fraction) -> dict[str, str]:
     """A bare rational as integer strings (consumers must not lose digits)."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    return {"num": _digits(q.numerator), "den": _digits(q.denominator)}
 
 
 def _rf_to_json(rf: RationalFunction) -> dict[str, list[str]]:
@@ -253,14 +257,24 @@ def _rf_to_json(rf: RationalFunction) -> dict[str, list[str]]:
     dens = [c * num.den for c in den.nums]
     divisor = gcd(*nums, *dens)  # den is nonzero
     return {
-        "num": [str(c // divisor) for c in nums],
-        "den": [str(c // divisor) for c in dens],
+        "num": [_digits(c // divisor) for c in nums],
+        "den": [_digits(c // divisor) for c in dens],
     }
 
 
+def _integer(text: str) -> int:
+    """int(text), through Decimal for a digit string past the int/str digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.removeprefix("-").isdecimal():
+            raise
+        return int(Decimal(text))
+
+
 def _rf_from_json(data: dict) -> RationalFunction:
-    num = Polynomial([int(c) for c in data["num"]])
-    den = Polynomial([int(c) for c in data["den"]])
+    num = Polynomial([_integer(c) for c in data["num"]])
+    den = Polynomial([_integer(c) for c in data["den"]])
     return num / den
 
 

@@ -117,6 +117,14 @@ class TestIdentity:
         assert err.startswith(f"usage: harmsum {argv[0]} ")
         assert f"argument {refusal}" in err
 
+    def test_giant_integer_is_refused_as_it_is_parsed(self, capsys, default_digit_limit):
+        # a million digits pass the interpreter's int/str digit limit, so `int`
+        # refuses them at once: no bound converts the value or echoes it back
+        with pytest.raises(SystemExit) as exc:
+            main(["identity", "--family", "f", "--p", "9" * 1_000_000, "--m", "1"])
+        assert exc.value.code == 2
+        assert "argument --p: invalid int value" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -557,13 +565,6 @@ class TestAuxiliaryCommands:
             "B+(4) = -1/30",
         ]
 
-    @pytest.fixture
-    def default_digit_limit(self):
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-        yield
-        sys.set_int_max_str_digits(previous)
-
     @pytest.mark.parametrize(
         "fmt,expected",
         [
@@ -585,15 +586,15 @@ class TestAuxiliaryCommands:
         "argv", [("bernoulli", "--n-max", "2"), ("verify", "--p", "x")], ids=["ran", "refused"]
     )
     def test_caller_digit_limit_is_restored(self, capsys, default_digit_limit, argv):
-        # main lifts the limit for its own run only, also when argparse exits
+        # main never changes the caller's limit, also when argparse exits
         sys.set_int_max_str_digits(4321)
         with contextlib.suppress(SystemExit):
             main(list(argv))
         assert sys.get_int_max_str_digits() == 4321
 
     def test_caller_digit_limit_is_restored_after_two_threads(self, capsys, tmp_path, default_digit_limit):
-        # one long render past 4,300 digits beside many short calls: the limit
-        # stays lifted while any call runs, and the caller's comes back after
+        # one long render past 4,300 digits beside many short calls: no call
+        # changes the process-wide limit while another runs, or after
         long_code, short_codes = [], []
         long_run = threading.Thread(
             target=lambda: long_code.append(main(["faulhaber", "--p", "2200", "--output", str(tmp_path / "p")]))
@@ -602,6 +603,7 @@ class TestAuxiliaryCommands:
         deadline = time.monotonic() + 60
         while (long_run.is_alive() and time.monotonic() < deadline) or not short_codes:
             short_codes.append(main(["bernoulli", "--n-max", "1", "--output", str(tmp_path / "b")]))
+            assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
         long_run.join(timeout=60)
         assert not long_run.is_alive()
         assert long_code == [0] and set(short_codes) == {0}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,8 @@ from harmonic_sums import (
     sum_f,
     sum_g,
 )
-from harmonic_sums.render import factor_for_display, polynomial_text
+from harmonic_sums.closed_form import _digits
+from harmonic_sums.render import _integer, factor_for_display, polynomial_text
 
 N = Polynomial.variable()
 
@@ -368,3 +370,51 @@ class TestJsonContract:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(ClosedForm.zero(), "html")
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestPastTheDigitLimit:
+    """Exact values of more than the 4,300 digits that the interpreter converts
+    between int and str by default print and parse whole, and the library
+    leaves the limit as it finds it."""
+
+    LIMIT = sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize(
+        "n", [0, -1, 10**5000 + 1, -(7**6000)], ids=["0", "-1", "10^5000+1", "-7^6000"]
+    )
+    def test_digits_and_integer_are_inverse(self, n):
+        text = _digits(n)
+        assert _integer(text) == n
+        assert sys.get_int_max_str_digits() == self.LIMIT
+
+    def test_digits_print_every_digit(self):
+        assert _digits(10**5000 + 1) == "1" + "0" * 4999 + "1"
+        assert _digits(-(10**5000)) == "-1" + "0" * 5000
+
+    @pytest.mark.parametrize("latex", [False, True], ids=["text", "latex"])
+    def test_faulhaber_2200_prints_whole(self, latex):
+        text = polynomial_text(faulhaber_poly(2200), latex)
+        assert sys.get_int_max_str_digits() == self.LIMIT
+        assert max(map(len, re.findall(r"[0-9]+", text))) > self.LIMIT
+        sys.set_int_max_str_digits(0)  # str converts every integer: the same text
+        assert polynomial_text(faulhaber_poly(2200), latex) == text
+
+    def test_faulhaber_2200_round_trips_through_json(self):
+        cf = ClosedForm(faulhaber_poly(2200))
+        data = closed_form_to_json(cf)
+        assert max(map(len, data["constant"]["num"])) > self.LIMIT
+        assert parse_closed_form(data) == cf
+        assert parse_closed_form(render(cf, "json")) == cf
+        assert sys.get_int_max_str_digits() == self.LIMIT
+
+    @pytest.mark.parametrize(
+        "coeff",
+        ["1.5", "1e3", "NaN", "--5", "", "9" * 5000 + ".0"],
+        ids=["1.5", "1e3", "NaN", "--5", "empty", "5001-digits-.0"],
+    )
+    def test_malformed_coefficient_is_refused(self, coeff):
+        data = {"constant": {"num": [coeff], "den": ["1"]}, "terms": []}
+        with pytest.raises(ValueError):
+            parse_closed_form(data)
+        assert sys.get_int_max_str_digits() == self.LIMIT

@@ -47,10 +47,11 @@ INTEGER_FLAGS = ("--p", "--m", "--w", "--offset-a", "--offset-b", "--n-max")
 # what a pipe's buffer (16 pages on Linux) and a reader of one byte can take
 PIPE_BYTES = 65536 + 1
 # values one step past the bounds of some integer flags (and small enough to be
-# quick where another flag accepts them), past every bound, or not integers
+# quick where another flag accepts them), past every bound, or not integers;
+# a million digits pass the interpreter's int/str digit limit as well
 PAST_BOUNDS = (cli.MAX_ORDER_BELOW - 1, cli.MAX_OFFSET + 1, cli.MAX_M + 1, cli.MAX_P + 1,
                -cli.MAX_SBP_EXPONENT - 1, cli.MAX_N + 1)  # fmt: skip
-MALFORMED = ("-1", *map(str, PAST_BOUNDS), "x", "1.5", "", "1e3")
+MALFORMED = ("-1", *map(str, PAST_BOUNDS), "x", "1.5", "", "1e3", "9" * 1_000_000)
 
 
 def _flag(rng: random.Random, argv: list[str], name: str, low: int, high: int) -> None:

@@ -172,6 +172,13 @@ CATALOGUE = (
     Mutant("sweep-rescale-dropped", _CLOSED_FORM,
            "                total *= grown // common\n", "",
            "the running sum not rescaled when its common denominator grows"),
+    # closed_form._digits and render._integer: exact integers past the int/str digit limit
+    Mutant("digits-fallback-dropped", _CLOSED_FORM,
+           "return str(Decimal(n))", "raise",
+           "an integer past 4,300 digits raises ValueError instead of printing"),
+    Mutant("integer-fallback-dropped", _RENDER,
+           "return int(Decimal(text))", "return int(text)",
+           "a JSON coefficient past 4,300 digits raises ValueError instead of parsing"),
     # cli: the exit codes and the --output file
     Mutant("output-removal-dropped", _CLI,
            "os.remove(args.output)", "pass",
