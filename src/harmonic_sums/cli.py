@@ -47,7 +47,8 @@ from .render import (
 # closed forms: at p = MAX_P the slowest accepted identities (m = -10 or
 # MAX_M, s = 2n+1, 10n+9 or 10n+10) take at most about 0.6 s on a 2-core
 # machine, and the slowest `verify` calls (both families, n 0..40, at
-# s = 10n+10 or at MAX_M and 10n+9) about 0.7 s and 1.7-1.8 s, within a 10 s budget.
+# s = 10n+10, or at MAX_M and 10n+9 or 10n+10) about 0.4-0.6 s and 0.4-0.7 s
+# as whole processes, within a 10 s budget.
 # `faulhaber` builds one power-sum polynomial only; at MAX_FAULHABER_P it
 # takes about 2 s as a whole process, and `bernoulli` up to MAX_BERNOULLI_N
 # about 2.3-3.1 s. Both are dominated by the Bernoulli numbers, whose

@@ -10,6 +10,7 @@ symbol family used here.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -273,10 +274,23 @@ def harmonic_part(arg: LinearArg, order: int) -> HarmonicSymbol | Polynomial:
     anything else is a genuine symbol.
     """
     if order <= 0:
-        return faulhaber_poly(-order).compose_linear(arg.a, arg.b)
+        return _power_sum_at(arg, order)
     if arg.is_constant:
         return Polynomial.constant(harmonic_value(arg.b, order))
     return HarmonicSymbol(arg, order)
+
+
+# The folds of orders <= 0 recur across builds: a bare `verify` asks 2,880
+# times for 98 distinct (argument, order) keys, an `emit` benchmark round 2,960
+# times for 176-179, and one p = 80, m = -10 build needs up to 2 * 82. An
+# entry is an immutable polynomial, so the callers share it.
+_FOLD_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
+def _power_sum_at(arg: LinearArg, order: int) -> Polynomial:
+    """H_{arg}^(order) for order <= 0: ``faulhaber_poly(-order)`` at a*n+b."""
+    return faulhaber_poly(-order).compose_linear(arg.a, arg.b)
 
 
 def harmonic_term(arg: LinearArg, order: int) -> ClosedForm:
@@ -299,40 +313,59 @@ def _evaluate_pairs(cf: ClosedForm, n_lo: int, n_hi: int) -> Iterator[tuple[int,
     """The value of the closed form at each integer n = n_lo..n_hi, n_lo >= 0,
     as an unreduced pair (num, den), den > 0; an empty range yields nothing.
 
-    Each coefficient's numerators are reversed once per sweep, for
-    ``_value_pair``'s integer Horner. Each symbol's argument is smallest at
-    n_lo and largest at n_hi, since a >= 1, so a negative argument is
-    refused with ``ValueError`` before the first pair, and the symbol's
-    prefix is grown once, to its argument at n_hi. Per n, the sum starts
-    from the constant's pair, and each term's pair is its coefficient's
-    times the prefix entry (h, l**order). The running denominator is the lcm
-    of the pairs' denominators so far; when it grows, the running numerator
-    is scaled up to it. Raises ``PoleError`` at the first n where a
-    coefficient has a pole.
+    The terms are grouped by argument a*n+b, whose orders 1..T share l =
+    lcm(1..x) at x = a*n+b. Each coefficient's numerators are reversed once
+    per sweep, for ``_value_pair``'s integer Horner, over the lcm of its
+    group's denominators. Each argument is smallest at n_lo and largest at
+    n_hi, since a >= 1, so a negative argument is refused with ``ValueError``
+    before the first pair, and each present order's prefix is grown once, to
+    the argument at n_hi. Per n and argument, a Horner in l runs over the
+    orders, acc = acc*l + c_o(n) h_o with the prefix entry (h_o, l), an
+    absent order only multiplying by l; two coefficient pairs with different
+    denominators (a pole) are cross-multiplied. The group's value acc /
+    (den l**T) then joins the sum, which starts from the constant's pair: the
+    running denominator is the lcm of the groups' denominators so far, and
+    when it grows the running numerator is scaled up to it. Raises
+    ``PoleError`` at the first n where a coefficient has a pole.
     """
     if n_lo < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n_lo}")
     if n_lo > n_hi:
         return
     constant = cf.constant.num.nums[::-1], cf.constant.num.den, cf.constant.poles
-    terms = []
+    by_arg: dict[LinearArg, dict[int, RationalFunction]] = {}
     for sym, coeff in cf.terms:
-        a, b, order = sym.arg.a, sym.arg.b, sym.order
-        if a * n_lo + b < 0:
-            raise ValueError(f"harmonic number at negative argument {a * n_lo + b}")
-        prefix = _prefix(order, a * n_hi + b)
-        terms.append((coeff.num.nums[::-1], coeff.num.den, coeff.poles, a, b, order, prefix))
+        if sym.arg.at(n_lo) < 0:
+            raise ValueError(f"harmonic number at negative argument {sym.arg.at(n_lo)}")
+        by_arg.setdefault(sym.arg, {})[sym.order] = coeff
+    groups = []
+    for arg, coeffs in by_arg.items():
+        den = lcm(*(coeff.num.den for coeff in coeffs.values()))
+        orders = [None] * max(coeffs)
+        for order, coeff in coeffs.items():
+            nums = [c * (den // coeff.num.den) for c in reversed(coeff.num.nums)]
+            orders[order - 1] = (nums, den, coeff.poles), _prefix(order, arg.at(n_hi))
+        groups.append((arg.a, arg.b, orders[-1][1], orders))
     for n in range(n_lo, n_hi + 1):
         total, common = _value_pair(*constant, n)
-        for nums, c_den, poles, a, b, order, prefix in terms:
-            num, den = _value_pair(nums, c_den, poles, n)
-            h, l = prefix[a * n + b]
-            den *= l**order
+        for a, b, top, orders in groups:
+            x = a * n + b
+            l = top[x][1]  # lcm(1..x), the same in every order's prefix
+            acc, acc_den = 0, 1
+            for term in orders:
+                acc *= l
+                if term is not None:
+                    kernel, prefix = term
+                    num, den = _value_pair(*kernel, n)
+                    if den != acc_den:
+                        acc, num, acc_den = acc * den, num * acc_den, acc_den * den
+                    acc += num * prefix[x][0]
+            den = acc_den * l ** len(orders)
             if common % den:
                 grown = lcm(common, den)
                 total *= grown // common
                 common = grown
-            total += num * h * (common // den)
+            total += acc * (common // den)
         yield total, common
 
 

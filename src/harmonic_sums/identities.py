@@ -21,6 +21,8 @@ minus ``harmonic_term(s, m).scale(P(n))``.
 
 from __future__ import annotations
 
+import functools
+
 from .closed_form import ClosedForm, LinearArg, harmonic_part
 from .exact import binomial, int_pow
 from .polynomial import Polynomial, faulhaber_poly
@@ -62,16 +64,6 @@ def _power_sum(p: int) -> Polynomial:
     return faulhaber_poly(p) + int_pow(0, p)
 
 
-def _taylor(poly: Polynomial, slope: int, sign: int) -> list[Polynomial]:
-    """sign * poly(x + slope*n) = sum_t q_t x**t: q_t = sign sum_u C(t+u, t) c_{t+u} (slope n)**u."""
-    nums, k = poly.nums, len(poly.nums)
-    powers = [sign * int_pow(slope, u) for u in range(k)]  # 0**0 = 1 at slope 0
-    return [
-        Polynomial([binomial(t + u, t) * nums[t + u] * powers[u] for u in range(k - t)], poly.den)
-        for t in range(k)
-    ]
-
-
 def offset_sum_f(p: int, m: int, s: LinearArg) -> ClosedForm:
     """Closed form of sum_{k=0}^n k**p H_{s+k}^(m) for the offset s = a*n+b."""
     return _by_parts(_power_sum(p), m, s)
@@ -82,13 +74,35 @@ def offset_sum_g(p: int, m: int, s: LinearArg) -> ClosedForm:
     return _by_parts(_power_sum(p), m, s, reverse=True)
 
 
+# Q depends on the weight and the row (sigma, c, lambda), never on m, so every
+# order of one (p, s) shares it: a bare `verify` makes 630 builds over 126
+# distinct Qs, an `emit` benchmark round 494 builds over 132-133, and `table`
+# 66 over 30. An entry is a tuple of immutable polynomials, so the callers
+# share it.
+_Q_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_Q_CACHE_SIZE)
+def _q_coefficients(antidiff: Polynomial, sigma: int, c: int, slope: int) -> tuple[Polynomial, ...]:
+    """The q_t of Q(j) = sigma R(j + slope n) = sum_t q_t j**t, R(x) = P(sigma x + c):
+    one ``compose_linear`` of P gives R = sum_i r_i x**i, and one Taylor shift
+    q_t = sigma sum_u C(t+u, t) r_{t+u} (slope n)**u."""
+    r = antidiff.compose_linear(sigma, c)
+    nums, k = r.nums, len(r.nums)
+    powers = [sigma * int_pow(slope, u) for u in range(k)]  # 0**0 = 1 at slope 0
+    return tuple(
+        Polynomial([binomial(t + u, t) * nums[t + u] * powers[u] for u in range(k - t)], r.den)
+        for t in range(k)
+    )
+
+
 def _by_parts(antidiff: Polynomial, m: int, s: LinearArg, reverse: bool = False) -> ClosedForm:
     """sum_{j=s}^N (Q(j+1) - Q(j)) H_j^(m), N = s+n, where the weight's antidifference
     P = ``antidiff`` gives Q(j) = sigma P(c + sigma (j + lambda n)): P(j-s-1), or -P(N-j)
     with ``reverse``, which only picks the row (sigma, c, lambda, e). For Q(j) = sum_t
     q[t] j**t that is P(n) H_e^(m) - sum_t q[t] (H_{N+1}^(m-t) - H_s^(m-t)) on
-    ``offset_basis(s)``. The q[t] come from one ``compose_linear`` of P and one Taylor
-    shift. Where both ends fold to power-sum polynomials (order m-t <= 0) their
+    ``offset_basis(s)``. The q[t] come from ``_q_coefficients``, built once for every
+    m. Where both ends fold to power-sum polynomials (order m-t <= 0) their
     difference takes one product. The parts are merged as polynomials and the
     ``ClosedForm`` is built once."""
     if s.b < 0:  # s must be a nonnegative integer for every n >= 0
@@ -97,7 +111,7 @@ def _by_parts(antidiff: Polynomial, m: int, s: LinearArg, reverse: bool = False)
     sigma, c, slope, end = (-1, s.b, -s.a - 1, s) if reverse else (1, -s.b - 1, -s.a, top)
     parts = [(antidiff, harmonic_part(end, m))]  # Q is zero at the other end
     constant, terms = Polynomial(), {}
-    for t, q_t in enumerate(_taylor(antidiff.compose_linear(sigma, c), slope, sigma)):
+    for t, q_t in enumerate(_q_coefficients(antidiff, sigma, c, slope)):
         upper, lower = harmonic_part(top, m - t), harmonic_part(s, m - t)
         if isinstance(upper, Polynomial):  # order <= 0, so lower is a polynomial too
             constant += q_t * (lower - upper)

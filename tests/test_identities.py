@@ -1,6 +1,7 @@
 """Closed-form constructors and the oracle's summation-by-parts and corollary sweeps."""
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import known_identities as known
-from harmonic_sums.identities import _by_parts
+from harmonic_sums.closed_form import _power_sum_at
+from harmonic_sums.identities import _by_parts, _q_coefficients
 from harmonic_sums.polynomial import ROOT_BOUND
 from harmonic_sums import (
     ClosedForm,
@@ -299,9 +301,15 @@ class TestBinomialKernel:
         assert builder(p, m, s) == power_expansion(family, p, m, s)
 
 
+def clear_term_caches():
+    for cache in (faulhaber_poly, _q_coefficients, _power_sum_at):
+        cache.cache_clear()
+
+
 class TestMemoizedTermBuilders:
-    """The constructors read memoized shared state, faulhaber_poly's cache, the
-    Bernoulli cache and harmonic_value's prefixes, and are safe under threads."""
+    """The constructors read memoized shared state, the caches of faulhaber_poly,
+    of Q's coefficients and of the power-sum folds, the Bernoulli cache and
+    harmonic_value's prefixes, and are safe under threads."""
 
     ROWS = [(p, m, s) for p in range(4) for m in (-1, 1, 2) for s in (S0, LinearArg(1, 2))]
 
@@ -313,9 +321,9 @@ class TestMemoizedTermBuilders:
         ]
 
     def test_threads_build_what_a_serial_run_builds(self):
-        faulhaber_poly.cache_clear()
+        clear_term_caches()
         serial = self.build_all()
-        faulhaber_poly.cache_clear()
+        clear_term_caches()
         start = threading.Barrier(4)
         results: dict[int, list] = {}
 
@@ -337,6 +345,27 @@ class TestMemoizedTermBuilders:
         assert sorted(results) == [0, 1, 2, 3]
         for built in results.values():
             assert built == serial
+
+    def test_warm_caches_build_what_cleared_caches_build(self):
+        # Q is keyed by the whole row (P, sigma, c, lambda) and a fold by
+        # (argument, order): a build after any other build, in any order,
+        # equals the same build from empty caches
+        keys = [
+            (family, p, m, LinearArg(a, b))
+            for family in "FG"
+            for p in range(7)
+            for m in range(-3, 6)
+            for a in range(3)
+            for b in range(3)
+        ]
+        random.Random(0).shuffle(keys)
+        for key in keys:
+            build_closed_form(*key)
+        warm = [build_closed_form(*key) for key in keys]
+        for key, form in zip(keys, warm):
+            _q_coefficients.cache_clear()
+            _power_sum_at.cache_clear()
+            assert build_closed_form(*key) == form, key
 
 
 class TestCanonicalEquality:

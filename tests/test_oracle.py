@@ -354,6 +354,14 @@ class TestVerifyGrid:
         for p, m, s, row in rows:
             assert row.lhs == lhs_direct("F", p, m, s, row.n)
 
+    def test_order_40_row_passes(self):
+        # the largest accepted order at p = 80: the Horner over 40 orders at
+        # arguments up to 40 and 10n+9
+        s = LinearArg(10, 9)
+        rows = list(grid_rows("G", 80, 40, s, build_closed_form("G", 80, 40, s), 3))
+        assert [row.n for row in rows] == [0, 1, 2, 3]
+        assert all(row.passed for row in rows)
+
     def test_corrupted_form_is_caught(self):
         cf = build_closed_form("G", 1, 1, S0)
         corrupt = ClosedForm(cf.constant + 1, cf.terms)

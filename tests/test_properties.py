@@ -758,6 +758,35 @@ sweep_forms = st.one_of(
     0,
     15,
 )
+# one argument carrying orders 1 and 3 but not 2, over coefficient
+# denominators 2 and 3: the Horner in l multiplies through the absent order
+@example(
+    ClosedForm(
+        RationalFunction(Polynomial([2])),
+        {
+            HarmonicSymbol(LinearArg(1, 1), 1): RationalFunction(Polynomial([1, 3], 2)),
+            HarmonicSymbol(LinearArg(1, 1), 3): RationalFunction(Polynomial([-5, 0, 1], 3)),
+            HarmonicSymbol(LinearArg(2, 0), 2): RationalFunction(Polynomial([0, 1])),
+        },
+    ),
+    0,
+    12,
+)
+# two coefficients at one argument whose pairs have different pole
+# denominators, n + 1 and (2n + 5)**2: they are cross-multiplied
+@example(
+    ClosedForm(
+        RationalFunction(Polynomial([1])),
+        {
+            HarmonicSymbol(LinearArg(1, 0), 1): RationalFunction(Polynomial([1]), [(Fraction(-1), 1)]),
+            HarmonicSymbol(LinearArg(1, 0), 2): RationalFunction(
+                Polynomial([1, 1]), [(Fraction(-5, 2), 2)]
+            ),
+        },
+    ),
+    0,
+    9,
+)
 def test_evaluate_pairs_match_fraction_reference(cf, lo, hi):
     n_lo, n_hi = min(lo, hi), max(lo, hi)
     poles = {r for rf in (cf.constant, *(c for _, c in cf.terms)) for r, _ in rf.poles}

@@ -71,20 +71,32 @@ _EXACT = "src/harmonic_sums/exact.py"
 _ROW = "sigma, c, slope, end = (-1, s.b, -s.a - 1, s) if reverse else (1, -s.b - 1, -s.a, top)"
 
 CATALOGUE = (
-    # identities._by_parts: the (sigma, c, lambda, e) rows and the one Taylor shift
+    # identities._by_parts: the (sigma, c, lambda, e) rows, and the memoized Q
     Mutant("g-end-at-top", _IDENTITIES, _ROW, _ROW.replace("-s.a - 1, s)", "-s.a - 1, top)"),
            "G's boundary term taken at N+1, where its Q is zero"),
     Mutant("g-sigma-dropped", _IDENTITIES,
-           "_taylor(antidiff.compose_linear(sigma, c), slope, sigma)",
-           "_taylor(antidiff.compose_linear(sigma, c), slope, 1)",
+           "sigma * int_pow(slope, u)", "int_pow(slope, u)",
            "G's Q is P(N-j), not -P(N-j): every q_t has the wrong sign"),
+    Mutant("q-cache-key-without-c", _IDENTITIES,
+           "@functools.lru_cache(maxsize=_Q_CACHE_SIZE)\n",
+           "def _keyed_without_c(build):\n"
+           "    memo = {}\n\n"
+           "    def lookup(antidiff, sigma, c, slope):\n"
+           "        key = antidiff, sigma, slope\n"
+           "        if key not in memo:\n"
+           "            memo[key] = build(antidiff, sigma, c, slope)\n"
+           "        return memo[key]\n\n"
+           "    lookup.cache_clear = memo.clear\n"
+           "    return lookup\n\n\n"
+           "@_keyed_without_c\n",
+           "Q memoized by (P, sigma, lambda): a build reuses the Q of another offset b"),
     Mutant("f-shift-minus-b", _IDENTITIES, _ROW, _ROW.replace("(1, -s.b - 1,", "(1, -s.b,"),
            "F's antidifference at P(j-s), one step late"),
     Mutant("g-slope-minus-a", _IDENTITIES, _ROW, _ROW.replace("(-1, s.b, -s.a - 1,", "(-1, s.b, -s.a,"),
            "G's antidifference at P(s-j), without the n of N = s+n"),
     Mutant("taylor-lambda-power-dropped", _IDENTITIES,
-           "powers = [sign * int_pow(slope, u) for u in range(k)]",
-           "powers = [sign for u in range(k)]",
+           "powers = [sigma * int_pow(slope, u) for u in range(k)]",
+           "powers = [sigma for u in range(k)]",
            "the Taylor shift to j + lambda n taken at lambda = 1"),
     Mutant("boundary-term-sign-flipped", _IDENTITIES,
            "parts = [(antidiff, harmonic_part(end, m))]",
@@ -171,7 +183,10 @@ CATALOGUE = (
            "H^(order)'s numerator scaled by step, not step**order, where the lcm grows"),
     Mutant("sweep-rescale-dropped", _CLOSED_FORM,
            "                total *= grown // common\n", "",
-           "the running sum not rescaled when its common denominator grows"),
+           "the running sum not rescaled when an argument's denominator grows it"),
+    Mutant("order-horner-step-dropped", _CLOSED_FORM,
+           "                acc *= l\n", "",
+           "the Horner in l over one argument's orders adds c_o h_o without the factor l"),
     # closed_form._digits and render._integer: exact integers past the int/str digit limit
     Mutant("digits-fallback-dropped", _CLOSED_FORM,
            "return str(Decimal(n))", "raise",
